@@ -63,36 +63,39 @@ class _TreeNode:
         self.probs = probs  # set on leaves only
 
 
-def _best_split(X, codes, n_labels, feature_indices):
+def _best_split(X, codes, n_labels, rows, feature_indices):
     """Exhaustive Gini split search over midpoints of sorted unique values.
 
+    ``rows`` is the node's ``(d, n)`` index matrix: row f lists the node's
+    sample ids in ascending order of ``X[:, f]``. All candidate features are
+    scored in one pass over the stacked ``(labels, k, n)`` prefix counts.
     Ties in weighted child impurity go to the lower feature index, then the
     lower threshold. Returns (feature, threshold) or None.
+
+    numpy adds up to seven labels one after another whichever axis holds
+    them, so for such label sets the impurities equal, bit for bit, those of
+    a per-feature search over ``(n, labels)`` one-hot counts.
     """
-    n = len(codes)
-    best_impurity = math.inf
-    best = None
-    for f in feature_indices:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        if xs[0] == xs[-1]:
-            continue
-        onehot = np.zeros((n, n_labels))
-        onehot[np.arange(n), codes[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-        n_left = boundaries + 1
-        n_right = n - n_left
-        left = cum[boundaries]
-        right = cum[-1] - left
-        gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        b = int(np.argmin(weighted))  # first minimum -> lowest threshold
-        if weighted[b] < best_impurity:
-            best_impurity = weighted[b]
-            best = (f, (xs[boundaries[b]] + xs[boundaries[b] + 1]) / 2.0)
-    return best
+    if len(feature_indices) == 0:
+        return None
+    n = rows.shape[1]
+    order = rows[feature_indices]                    # (k, n)
+    xs = X[order, feature_indices[:, None]]
+    # (labels, k, n): prefix count of each label along each feature's order
+    cum = np.cumsum(codes[order] == np.arange(n_labels)[:, None, None], axis=2)
+    n_left = np.arange(1, n)                         # a split after position i
+    n_right = n - n_left
+    left = cum[:, :, :-1]
+    right = cum[:, :, -1:] - left
+    gini_left = 1.0 - np.sum((left / n_left) ** 2, axis=0)
+    gini_right = 1.0 - np.sum((right / n_right) ** 2, axis=0)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted[xs[:, :-1] == xs[:, 1:]] = np.inf       # only between distinct values
+    # first minimum in (feature, position) order -> lowest feature, lowest threshold
+    f, b = np.unravel_index(np.argmin(weighted), weighted.shape)
+    if weighted[f, b] == np.inf:
+        return None
+    return feature_indices[f], (xs[f, b] + xs[f, b + 1]) / 2.0
 
 
 class DecisionTreeModel(TrainedModel):
@@ -106,34 +109,47 @@ class DecisionTreeModel(TrainedModel):
         self.rng = rng
         self.root_: _TreeNode | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeModel":
+    def fit(self, X: np.ndarray, y: np.ndarray,
+            label_set: np.ndarray | None = None) -> "DecisionTreeModel":
+        """Grow the tree. ``label_set`` pins the class columns to a superset of
+        ``y``'s labels (a forest member whose bootstrap lost a class)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
-        self.label_set = np.unique(y)
+        self.label_set = np.unique(y if label_set is None else label_set)
+        if not np.all(np.isin(y, self.label_set)):
+            raise ValueError("y has labels outside label_set")
         self.n_features_ = X.shape[1]
         codes = np.searchsorted(self.label_set, y)
-        self.root_ = self._grow(X, codes, depth=0)
+        # each feature is sorted once; nodes stable-partition these rows
+        rows = np.argsort(X.T, axis=1, kind="stable")
+        counts = np.bincount(codes, minlength=len(self.label_set))
+        goes_left = np.zeros(len(y), dtype=bool)
+        self.root_ = self._grow(X, codes, rows, counts, goes_left, depth=0)
         return self
 
-    def _grow(self, X, codes, depth):
-        n = len(codes)
-        n_labels = len(self.label_set)
-        counts = np.bincount(codes, minlength=n_labels)
-        if depth >= self.max_depth or n < 2 or np.max(counts) == n:
+    def _grow(self, X, codes, rows, counts, goes_left, depth):
+        n = rows.shape[1]
+        if depth >= self.max_depth or n < 2 or counts.max() == n:
             return self._leaf(counts)
-        if self.feature_subsample is not None and self.feature_subsample < X.shape[1]:
-            feats = np.sort(self.rng.choice(X.shape[1], size=self.feature_subsample,
-                                            replace=False))
+        d = X.shape[1]
+        if self.feature_subsample is not None and self.feature_subsample < d:
+            feats = np.sort(self.rng.choice(d, size=self.feature_subsample, replace=False))
         else:
-            feats = np.arange(X.shape[1])
-        split = _best_split(X, codes, n_labels, feats)
+            feats = np.arange(d)
+        split = _best_split(X, codes, len(counts), rows, feats)
         if split is None:
             return self._leaf(counts)
         f, thr = split
-        mask = X[:, f] <= thr
+        # the same comparison predict routes by, so a midpoint that rounds onto
+        # the upper value sends those rows left here too
+        goes_left[rows[0]] = X[rows[0], f] <= thr
+        mask = goes_left[rows]
+        left, right = rows[mask].reshape(d, -1), rows[~mask].reshape(d, -1)
+        left_counts = np.bincount(codes[left[0]], minlength=len(counts))
         return _TreeNode(feature=int(f), threshold=float(thr),
-                         left=self._grow(X[mask], codes[mask], depth + 1),
-                         right=self._grow(X[~mask], codes[~mask], depth + 1))
+                         left=self._grow(X, codes, left, left_counts, goes_left, depth + 1),
+                         right=self._grow(X, codes, right, counts - left_counts, goes_left,
+                                          depth + 1))
 
     def _leaf(self, counts):
         probs = (counts + 1.0) / (counts.sum() + len(counts))
@@ -193,11 +209,7 @@ class RandomForestModel(TrainedModel):
                 Xi, yi = X, y
             tree = DecisionTreeModel(max_depth=self.max_depth,
                                      feature_subsample=subsample, rng=rng)
-            # bootstrap can lose a class; pin the full label set before growing
-            tree.label_set = self.label_set
-            tree.n_features_ = d
-            tree.root_ = tree._grow(Xi, np.searchsorted(self.label_set, yi), depth=0)
-            self.trees_.append(tree)
+            self.trees_.append(tree.fit(Xi, yi, label_set=self.label_set))
         return self
 
     def _proba(self, X):

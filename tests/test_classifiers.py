@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbenhance.classifiers import (
     ClassifierSpec,
@@ -7,6 +11,7 @@ from imbenhance.classifiers import (
     LogisticRegressionModel,
     RandomForestModel,
     TrainedModel,
+    _best_split,
     _TreeNode,
     fit,
     predict,
@@ -200,3 +205,93 @@ def test_determinism_over_all_kinds():
         a = predict_proba(fit(spec, d), d)
         b = predict_proba(fit(spec, d), d)
         assert np.array_equal(a, b)
+
+
+def test_zero_feature_training_set_fits_one_leaf():
+    d = Dataset(features=np.empty((5, 0)), labels=np.array([0, 0, 0, 1, 1]))
+    tree = fit(ClassifierSpec(kind="decision-tree"), d)
+    assert np.allclose(tree.root_.probs, [4.0 / 7.0, 3.0 / 7.0])
+    forest = fit(ClassifierSpec(kind="random-forest", n_estimators=3), d)
+    assert all(t.root_.probs is not None for t in forest.trees_)
+    p = predict_proba(forest, np.empty((2, 0)))
+    assert p.shape == (2, 2) and np.array_equal(p[0], p[1])
+
+
+def test_forest_member_keeps_label_set_when_bootstrap_drops_a_class():
+    X = np.arange(12.0)[:, None]
+    y = np.array([0] * 11 + [1])
+    forest = RandomForestModel(n_estimators=10, seed=0).fit(X, y)
+    # member i bootstraps with rng(seed + i); at least one misses the minority row
+    assert any(11 not in np.random.default_rng(i).integers(0, 12, size=12) for i in range(10))
+    for tree in forest.trees_:
+        assert np.array_equal(tree.label_set, forest.label_set)
+    assert forest.predict_proba(X).shape == (12, 2)
+
+
+def test_pinned_label_set_must_cover_the_labels():
+    with pytest.raises(ValueError, match="label_set"):
+        DecisionTreeModel().fit(np.zeros((3, 1)), np.array([0, 1, 1]), label_set=[0])
+
+
+# ------------------------------------------------- split search differential
+
+def _reference_best_split(X, codes, n_labels, feature_indices):
+    """Per-feature split search: argsort each feature at the node and count
+    labels with a one-hot cumsum. The oracle for the presorted search."""
+    n = len(codes)
+    best_impurity = math.inf
+    best = None
+    for f in feature_indices:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        if xs[0] == xs[-1]:
+            continue
+        onehot = np.zeros((n, n_labels))
+        onehot[np.arange(n), codes[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+        n_left = boundaries + 1
+        n_right = n - n_left
+        left = cum[boundaries]
+        right = cum[-1] - left
+        gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        b = int(np.argmin(weighted))
+        if weighted[b] < best_impurity:
+            best_impurity = weighted[b]
+            best = (f, (xs[boundaries[b]] + xs[boundaries[b] + 1]) / 2.0)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    # one decimal on a narrow range: many tied values; 0.1 + 0.2 sits one ulp
+    # from 0.3, so near-equal values that must not be merged turn up too
+    values = st.sampled_from([-1.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 0.7, 2.5])
+    X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    for f in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        X[:, f] = X[0, f]                                   # constant columns
+    label_set = draw(st.sampled_from([(0, 1), (-1, 1), (-1, 0, 1)]))
+    codes = np.array(draw(st.lists(st.integers(0, len(label_set) - 1),
+                                   min_size=n, max_size=n)))
+    feats = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    node = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    node[:2] = True                                          # a node has >= 2 rows
+    return X, codes, len(label_set), feats, node
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems())
+def test_presorted_split_search_matches_per_feature_search(problem):
+    X, codes, n_labels, feats, node = problem
+    rows = np.argsort(X.T, axis=1, kind="stable")   # the fit-level presort
+    rows = rows[node[rows]].reshape(X.shape[1], -1)  # stable partition to the node
+    got = _best_split(X, codes, n_labels, rows, feats)
+    want = _reference_best_split(X[node], codes[node], n_labels, feats)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and (int(got[0]), got[1]) == (int(want[0]), want[1])
