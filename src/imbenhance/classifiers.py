@@ -168,13 +168,6 @@ class DecisionTreeModel(TrainedModel):
         self._route(node.left, X, idx[mask], out)
         self._route(node.right, X, idx[~mask], out)
 
-    def depth(self) -> int:
-        def walk(node):
-            if node.probs is not None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root_)
-
 
 class RandomForestModel(TrainedModel):
     """Bagged trees; probabilities are the mean of member-tree rows.
@@ -226,7 +219,6 @@ class LogisticRegressionModel(TrainedModel):
         self.n_iterations = n_iterations
         self.weights_: np.ndarray | None = None  # (n_classes_or_1, d)
         self.biases_: np.ndarray | None = None
-        self.loss_history_: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionModel":
         X = np.asarray(X, dtype=float)
@@ -245,16 +237,10 @@ class LogisticRegressionModel(TrainedModel):
 
         n, d = Z.shape
         t = np.column_stack(targets)
-        eps = 1e-12
         self.weights_ = np.zeros((len(targets), d))
         self.biases_ = np.zeros(len(targets))
-        self.loss_history_ = []
-        for step in range(self.n_iterations + 1):
+        for _ in range(self.n_iterations):
             p = expit(Z @ self.weights_.T + self.biases_)  # (n, k)
-            loss = -np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))
-            self.loss_history_.append(float(loss))
-            if step == self.n_iterations:
-                break
             self.weights_ -= self.learning_rate * ((p - t).T @ Z / n)
             self.biases_ -= self.learning_rate * np.mean(p - t, axis=0)
         return self

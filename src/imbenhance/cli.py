@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .data import (
 )
 from .metrics import EVAL_CSV_COLUMNS, EvalReport, auc, confusion, ks_statistic, precision_recall_f1
 from .pipeline import (
+    CONFIG_KEYS,
     METRIC_NAMES,
     PipelineConfig,
     StageError,
@@ -25,6 +27,7 @@ from .pipeline import (
     emit_report,
     parse_config_file,
     run_pipeline,
+    serialize_config,
 )
 
 
@@ -32,30 +35,15 @@ def _add_pipeline_flags(sp):
     sp.add_argument("input", nargs="?", help="labeled CSV (or set it in --config)")
     sp.add_argument("--config", help="flat key = value config file")
     sp.add_argument("--out", default="out", help="output directory (default: out)")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--label-column")
-    sp.add_argument("--positive-label", type=int)
-    sp.add_argument("--hide-labels", type=float, metavar="FRACTION",
-                    help="hide this stratified fraction of labels to form the unlabeled pool")
-    sp.add_argument("--unlabeled", metavar="CSV", help="unlabeled pool file")
-    sp.add_argument("--strategy", choices=["auto", "kfulf", "dds"])
-    sp.add_argument("--disable-synthesis", action="store_const", const=True, default=None)
-    sp.add_argument("--disable-filtering", action="store_const", const=True, default=None)
-    sp.add_argument("--disable-selflearning", action="store_const", const=True, default=None)
-    sp.add_argument("--classifier", choices=["decision-tree", "random-forest",
-                                             "logistic-regression"])
-    sp.add_argument("--max-depth", type=int)
-    sp.add_argument("--n-estimators", type=int)
-    sp.add_argument("--learning-rate", type=float)
-    sp.add_argument("--n-iterations", type=int)
-    sp.add_argument("--techniques", help="comma list: random-oversample,smote,replay:PATH")
-    sp.add_argument("--smote-k-neighbors", type=int)
-    sp.add_argument("--target-ratio", type=float)
-    sp.add_argument("--threshold-grid", help="comma list of margin thresholds in [0,1]")
-    sp.add_argument("--retention", choices=["true", "false"])
-    sp.add_argument("--k-folds", type=int, help="KFULF fold count")
-    sp.add_argument("--target-percentage", type=float, help="DDS selection fraction")
-    sp.add_argument("--max-iterations", type=int, help="DDS iteration cap")
+    defaults = PipelineConfig()
+    for key, path, _, help_text in CONFIG_KEYS:
+        if key in ("input", "benchmark_folds"):  # positional; --folds on benchmark only
+            continue
+        flag = "--" + key.replace("_", "-")
+        if attrgetter(path)(defaults) is False:
+            sp.add_argument(flag, action="store_const", const="true", help=help_text)
+        else:
+            sp.add_argument(flag, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("benchmark", help="stratified k-fold before/after comparison")
     _add_pipeline_flags(sp)
-    sp.add_argument("--folds", type=int, help="cross-validation fold count (default 3)")
+    sp.add_argument("--folds", dest="benchmark_folds",
+                    help="cross-validation fold count (default 3)")
 
     sp = sub.add_parser("generate", help="write a synthetic imbalanced benchmark CSV")
     sp.add_argument("--n", type=int, default=2000)
@@ -92,39 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> PipelineConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    overrides = {
-        "seed": args.seed,
-        "label_column": args.label_column,
-        "positive_label": args.positive_label,
-        "hide_labels": args.hide_labels,
-        "strategy": args.strategy,
-        "disable_synthesis": args.disable_synthesis,
-        "disable_filtering": args.disable_filtering,
-        "disable_selflearning": args.disable_selflearning,
-        "classifier": args.classifier,
-        "max_depth": args.max_depth,
-        "n_estimators": args.n_estimators,
-        "learning_rate": args.learning_rate,
-        "n_iterations": args.n_iterations,
-        "techniques": args.techniques,
-        "smote_k_neighbors": args.smote_k_neighbors,
-        "target_ratio": args.target_ratio,
-        "threshold_grid": args.threshold_grid,
-        "retention": args.retention,
-        "k_folds": args.k_folds,
-        "target_percentage": args.target_percentage,
-        "max_iterations": args.max_iterations,
-        "input": args.input,
-        "unlabeled": args.unlabeled,
-        "benchmark_folds": getattr(args, "folds", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = str(value)
-    return config_from_mapping(mapping)
+    """Config-file values, overridden by every pipeline flag given."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    for key, *_ in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            mapping[key] = getattr(args, key)
+    cfg = config_from_mapping(mapping)
+    serialize_config(cfg)  # a config the report could not replay fails before the run
+    return cfg
 
 
 def _prepare_data(cfg: PipelineConfig):

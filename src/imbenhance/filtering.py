@@ -16,14 +16,6 @@ DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(10))  # 0.0 .. 0
 
 
 @dataclass
-class MarginRecord:
-    """Prediction margin for one row: highest minus second-highest class probability."""
-
-    row_index: int
-    margin: float
-
-
-@dataclass
 class SweepEntry:
     threshold: float
     f1: float                # -1.0 marks a skipped (empty or single-class) candidate
@@ -41,14 +33,13 @@ class FilterOutcome:
     model: TrainedModel | None = None       # trained on the winning filtered set
 
 
-def margins(m: TrainedModel, d: Dataset) -> list[MarginRecord]:
-    """Per-row margin, order-preserving."""
+def margins(m: TrainedModel, d: Dataset) -> np.ndarray:
+    """Per-row margin: highest minus second-highest class probability, in row order."""
     if d.n_rows == 0:
         raise ValueError("margins of an empty dataset")
     proba = predict_proba(m, d)
     part = np.sort(proba, axis=1)
-    deltas = part[:, -1] - part[:, -2]
-    return [MarginRecord(row_index=i, margin=float(v)) for i, v in enumerate(deltas)]
+    return part[:, -1] - part[:, -2]
 
 
 def retention_counts(priors, total: int) -> np.ndarray:
@@ -58,7 +49,7 @@ def retention_counts(priors, total: int) -> np.ndarray:
 
 
 def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
-                    out_margins: list[MarginRecord]) -> Dataset:
+                    out_margins: np.ndarray) -> Dataset:
     """Pick the per-class quota of filtered-out rows, highest margin first.
 
     Quotas use the ORIGINAL dataset's class priors. A class with fewer pooled
@@ -68,16 +59,15 @@ def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
     if filtered_out.n_rows == 0:
         return filtered_out.with_provenance("retained")
     if len(out_margins) != filtered_out.n_rows:
-        raise ValueError("margin records do not match the filtered-out pool")
+        raise ValueError("margins do not match the filtered-out pool")
     quotas = retention_counts(original_stats.priors, filtered_out.n_rows)
-    deltas = np.array([r.margin for r in out_margins])
     picked: list[int] = []
     for quota, cls in zip(quotas, original_stats.labels):
         cls_idx = np.flatnonzero(filtered_out.labels == cls)
         if len(cls_idx) == 0 or quota == 0:
             continue
         # descending margin, ties to the earlier row
-        order = cls_idx[np.lexsort((cls_idx, -deltas[cls_idx]))]
+        order = cls_idx[np.lexsort((cls_idx, -out_margins[cls_idx]))]
         picked.extend(order[:quota].tolist())
     picked = sorted(picked)
     return filtered_out.take(picked).with_provenance("retained")
@@ -108,8 +98,7 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
     if trainer is None:
         trainer = lambda ds: fit(classifier_spec, ds)
 
-    recs = margins(m, aug)
-    deltas = np.array([r.margin for r in recs])
+    deltas = margins(m, aug)
 
     table: list[SweepEntry] = []
     best = None  # (f1, threshold, dataset, model, retained_counts)
@@ -119,10 +108,7 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
         kept = aug.take(keep_idx)
         retained = None
         if retention and len(out_idx) > 0:
-            pool = aug.take(out_idx)
-            pool_margins = [MarginRecord(row_index=i, margin=deltas[j])
-                            for i, j in enumerate(out_idx)]
-            retained = retain_by_class(pool, original_stats, pool_margins)
+            retained = retain_by_class(aug.take(out_idx), original_stats, deltas[out_idx])
         candidate = concat_datasets([kept, retained]) if retained is not None and retained.n_rows \
             else kept
         n_retained = 0 if retained is None else retained.n_rows

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -290,32 +291,6 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
 
 # ------------------------------------------------------------ configuration
 
-_CONFIG_KEYS = [
-    "input", "unlabeled", "label_column", "positive_label", "seed",
-    "classifier", "max_depth", "n_estimators", "learning_rate", "n_iterations",
-    "techniques", "smote_k_neighbors", "target_ratio", "synthesis_split_ratio",
-    "threshold_grid", "retention", "strategy", "k_folds", "target_percentage",
-    "max_iterations", "disable_synthesis", "disable_filtering",
-    "disable_selflearning", "benchmark_folds", "hide_labels",
-]
-
-
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; unknown keys are errors."""
-    mapping = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        mapping[key] = value
-    return mapping
-
-
 def _parse_bool(value: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "1", "yes", "on"):
@@ -325,91 +300,131 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _comma_list(value: str) -> list:
+    return [t.strip() for t in value.split(",") if t.strip()]
+
+
+def _float_tuple(value: str) -> tuple:
+    return tuple(float(t) for t in _comma_list(value))
+
+
+# Each config key once: (key, PipelineConfig attribute path, parser, CLI help).
+# Defaults are the dataclasses'; a blank value keeps the default. Rows are in
+# config_resolved.txt order, and every key is also a --key-name flag (cli.py).
+CONFIG_KEYS = (
+    ("input", "input_path", str, "labeled CSV path"),
+    ("unlabeled", "unlabeled_path", str, "unlabeled pool CSV"),
+    ("label_column", "label_column", str, "label column name"),
+    ("positive_label", "positive_label", int, "label that becomes class 1 (blank: minority)"),
+    ("seed", "seed", int, "seed of splits, sampling and the classifier"),
+    ("classifier", "classifier.kind", str, "decision-tree | random-forest | logistic-regression"),
+    ("max_depth", "classifier.max_depth", int, "tree depth cap"),
+    ("n_estimators", "classifier.n_estimators", int, "random-forest tree count"),
+    ("learning_rate", "classifier.learning_rate", float, "logistic-regression step size"),
+    ("n_iterations", "classifier.n_iterations", int, "logistic-regression gradient steps"),
+    ("techniques", "techniques", _comma_list, "comma list: random-oversample,smote,replay:PATH"),
+    ("smote_k_neighbors", "smote_k_neighbors", int, "SMOTE neighbour count"),
+    ("target_ratio", "target_ratio", float, "minority/majority after synthesis"),
+    ("synthesis_split_ratio", "synthesis_split_ratio", float, "synthesis holdout train share"),
+    ("threshold_grid", "threshold_grid", _float_tuple, "comma list of margin thresholds in [0,1]"),
+    ("retention", "retention", _parse_bool, "true | false: put back filtered-out rows"),
+    ("strategy", "strategy", str, "auto | kfulf | dds"),
+    ("k_folds", "pseudo.k_folds", int, "KFULF fold count"),
+    ("target_percentage", "pseudo.target_percentage", float, "DDS selection fraction"),
+    ("max_iterations", "pseudo.max_iterations", int, "DDS iteration cap"),
+    ("disable_synthesis", "disable_synthesis", _parse_bool, "skip the synthesis stage"),
+    ("disable_filtering", "disable_filtering", _parse_bool, "skip the filtering stage"),
+    ("disable_selflearning", "disable_selflearning", _parse_bool, "skip self-learning"),
+    ("benchmark_folds", "benchmark_folds", int, "cross-validation fold count"),
+    ("hide_labels", "hide_labels", float, "fraction of labels hidden to form the pool"),
+)
+_PARSERS = {key: parser for key, _, parser, _ in CONFIG_KEYS}
+
+
+def _parse_value(key: str, value: str, where: str = ""):
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}{key}: {exc}") from None
+
+
+def _replace_path(obj, path: str, value):
+    """Copy of ``obj`` with the dotted attribute ``path`` set (and re-validated)."""
+    head, _, rest = path.partition(".")
+    value = _replace_path(getattr(obj, head), rest, value) if rest else value
+    return replace(obj, **{head: value})
+
+
+def _parse_lines(text: str, source) -> dict:
+    mapping, first_line = {}, {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source}:{lineno}: "
+        if "=" not in line:
+            raise ValueError(f"{where}expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _PARSERS:
+            raise ValueError(f"{where}unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{where}config key {key!r} already set on line {first_line[key]}")
+        if value:
+            _parse_value(key, value, where)
+        mapping[key], first_line[key] = value, lineno
+    return mapping
+
+
+def parse_config_file(path) -> dict:
+    """Flat ``key = value`` lines; '#' starts a comment. Unknown or repeated
+    keys and values their key cannot parse are errors naming ``path:line``."""
+    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
+
+
 def config_from_mapping(mapping: dict) -> PipelineConfig:
-    """Build a PipelineConfig from string key/value pairs (file or CLI)."""
-    m = dict(mapping)
+    """Build a PipelineConfig from string key/value pairs (file or CLI). A
+    missing or blank key keeps the default; ``seed`` also seeds the classifier."""
+    unknown = sorted(set(mapping) - set(_PARSERS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    cfg = PipelineConfig()
+    for key, path, _, _ in CONFIG_KEYS:
+        if mapping.get(key, "") != "":
+            cfg = _replace_path(cfg, path, _parse_value(key, mapping[key]))
+    return _replace_path(cfg, "classifier.seed", cfg.seed)
 
-    def pop(key, cast, default):
-        if key not in m or m[key] == "":
-            m.pop(key, None)
-            return default
-        return cast(m.pop(key))
 
-    classifier = ClassifierSpec(
-        kind=pop("classifier", str, "decision-tree"),
-        max_depth=pop("max_depth", int, 12),
-        n_estimators=pop("n_estimators", int, 50),
-        learning_rate=pop("learning_rate", float, 0.1),
-        n_iterations=pop("n_iterations", int, 500),
-        seed=pop("seed", int, 42),
-    )
-    pseudo = PseudoLabelConfig(
-        k_folds=pop("k_folds", int, 5),
-        target_percentage=pop("target_percentage", float, 0.30),
-        max_iterations=pop("max_iterations", int, 100),
-    )
-    grid = pop("threshold_grid",
-               lambda s: tuple(float(t) for t in s.split(",") if t.strip() != ""),
-               DEFAULT_THRESHOLD_GRID)
-    techniques = pop("techniques",
-                     lambda s: [t.strip() for t in s.split(",") if t.strip()],
-                     ["random-oversample", "smote"])
-    cfg = PipelineConfig(
-        seed=classifier.seed,
-        label_column=pop("label_column", str, "y"),
-        positive_label=pop("positive_label", int, None),
-        classifier=classifier,
-        techniques=techniques,
-        smote_k_neighbors=pop("smote_k_neighbors", int, 5),
-        target_ratio=pop("target_ratio", float, 1.0),
-        synthesis_split_ratio=pop("synthesis_split_ratio", float, 0.8),
-        threshold_grid=grid,
-        retention=pop("retention", _parse_bool, True),
-        pseudo=pseudo,
-        strategy=pop("strategy", str, "auto"),
-        disable_synthesis=pop("disable_synthesis", _parse_bool, False),
-        disable_filtering=pop("disable_filtering", _parse_bool, False),
-        disable_selflearning=pop("disable_selflearning", _parse_bool, False),
-        benchmark_folds=pop("benchmark_folds", int, 3),
-        hide_labels=pop("hide_labels", float, 0.0),
-        input_path=pop("input", str, ""),
-        unlabeled_path=pop("unlabeled", str, ""),
-    )
-    if m:
-        raise ValueError(f"unknown config keys: {sorted(m)}")
-    return cfg
+def _format_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _leaves(obj, prefix=""):
+    """(dotted field name, value) for every field, nested dataclasses flattened."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
-    """Resolved key = value text; parsing it back reproduces the same config."""
-    lines = [
-        f"input = {cfg.input_path}",
-        f"unlabeled = {cfg.unlabeled_path}",
-        f"label_column = {cfg.label_column}",
-        f"positive_label = {'' if cfg.positive_label is None else cfg.positive_label}",
-        f"seed = {cfg.seed}",
-        f"classifier = {cfg.classifier.kind}",
-        f"max_depth = {cfg.classifier.max_depth}",
-        f"n_estimators = {cfg.classifier.n_estimators}",
-        f"learning_rate = {cfg.classifier.learning_rate}",
-        f"n_iterations = {cfg.classifier.n_iterations}",
-        f"techniques = {','.join(cfg.techniques)}",
-        f"smote_k_neighbors = {cfg.smote_k_neighbors}",
-        f"target_ratio = {cfg.target_ratio}",
-        f"synthesis_split_ratio = {cfg.synthesis_split_ratio}",
-        f"threshold_grid = {','.join(repr(t) for t in cfg.threshold_grid)}",
-        f"retention = {str(cfg.retention).lower()}",
-        f"strategy = {cfg.strategy}",
-        f"k_folds = {cfg.pseudo.k_folds}",
-        f"target_percentage = {cfg.pseudo.target_percentage}",
-        f"max_iterations = {cfg.pseudo.max_iterations}",
-        f"disable_synthesis = {str(cfg.disable_synthesis).lower()}",
-        f"disable_filtering = {str(cfg.disable_filtering).lower()}",
-        f"disable_selflearning = {str(cfg.disable_selflearning).lower()}",
-        f"benchmark_folds = {cfg.benchmark_folds}",
-        f"hide_labels = {cfg.hide_labels}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Resolved ``key = value`` text in table order. Raises ValueError naming
+    the fields if the text would parse back to a different config, since a
+    replay of it would then not reproduce the run."""
+    text = "".join(f"{key} = {_format_value(attrgetter(path)(cfg))}\n"
+                   for key, path, _, _ in CONFIG_KEYS)
+    again = dict(_leaves(config_from_mapping(_parse_lines(text, "serialized config"))))
+    lost = [name for name, value in _leaves(cfg) if again[name] != value]
+    if lost:
+        raise ValueError(f"config fields {', '.join(lost)} would not survive serialization")
+    return text
 
 
 # ------------------------------------------------------------------ reports

@@ -59,6 +59,8 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
     among the k Euclidean-nearest minority neighbors of x. k is clamped to
     minority_count - 1.
     """
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be at least 1")
     minority, idx, majority_count = _minority_info(train)
     if len(idx) < 2:
         raise ValueError("SMOTE needs at least 2 minority rows")

@@ -12,7 +12,6 @@ import pytest
 from imbenhance.classifiers import (
     ClassifierSpec,
     DecisionTreeModel,
-    LogisticRegressionModel,
     TrainedModel,
     fit,
     predict,
@@ -31,7 +30,6 @@ from imbenhance.data import (
 )
 from imbenhance.filtering import (
     DEFAULT_THRESHOLD_GRID,
-    MarginRecord,
     filter_sweep,
     margins,
     retain_by_class,
@@ -42,6 +40,7 @@ from imbenhance.pipeline import PipelineConfig, benchmark
 from imbenhance.selflearn import PseudoLabelConfig, dds, kfulf
 from imbenhance.synthesis import meta_synthesize
 
+from test_classifiers import logistic_loss_path, tree_depth
 from test_metrics import brute_force_ks, pairwise_auc_oracle
 
 
@@ -176,8 +175,7 @@ def test_c04_filtering_invariants_and_blsd_retention():
                             majority_label=0, imbalance_ratio=7748 / 2252)
     pool = Dataset(features=np.arange(1000, dtype=float).reshape(1000, 1),
                    labels=np.array([0] * 775 + [1] * 225))
-    recs = [MarginRecord(i, (i % 97) / 100.0) for i in range(1000)]
-    retained = retain_by_class(pool, blsd_stats, recs)
+    retained = retain_by_class(pool, blsd_stats, (np.arange(1000) % 97) / 100.0)
     assert int(np.sum(retained.labels == 0)) == 775
     assert int(np.sum(retained.labels == 1)) == 225
 
@@ -192,7 +190,7 @@ def test_c04_filtering_invariants_and_blsd_retention():
     out = filter_sweep(syn.augmented, syn.misclassified, syn.model, spec,
                        thresholds=DEFAULT_THRESHOLD_GRID, original_stats=stats)
 
-    deltas = np.array([r.margin for r in margins(syn.model, syn.augmented)])
+    deltas = margins(syn.model, syn.augmented)
     kept_sets = [set(np.flatnonzero(deltas >= t)) for t in DEFAULT_THRESHOLD_GRID]
     for a, b in zip(kept_sets, kept_sets[1:]):
         assert b <= a
@@ -402,7 +400,7 @@ def test_c11_classifier_sanity():
     X = rng.normal(size=(1000, 4))
     y = rng.integers(0, 2, size=1000)
     tree = DecisionTreeModel(max_depth=12).fit(X, y)
-    assert tree.depth() <= 12
+    assert tree_depth(tree) <= 12
 
     d = generate_synthetic_benchmark(n=500, d=4, imbalance_ratio=6,
                                      noise_rate=0.1, seed=42)
@@ -410,8 +408,6 @@ def test_c11_classifier_sanity():
     forest = fit(ClassifierSpec(kind="random-forest", n_estimators=1, bootstrap=False), d)
     assert np.allclose(predict_proba(single, d), predict_proba(forest, d))
 
-    lr = LogisticRegressionModel(learning_rate=0.01, n_iterations=400)
-    lr.fit(np.asarray(d.features, dtype=float), np.asarray(d.labels))
-    assert np.all(np.diff(lr.loss_history_) <= 1e-12)
+    assert np.all(np.diff(logistic_loss_path(d.features, d.labels, 0.01, 400)) <= 1e-12)
     ok(11, "tree depth <= 12, forest(1, no bootstrap) == tree, LR loss "
            "non-increasing at lr=0.01")

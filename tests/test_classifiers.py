@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from imbenhance.classifiers import (
     ClassifierSpec,
@@ -30,6 +31,34 @@ class StubModel(TrainedModel):
 
     def _proba(self, X):
         return self.rows[: X.shape[0]]
+
+
+def tree_depth(m: DecisionTreeModel) -> int:
+    def walk(node):
+        if node.probs is not None:
+            return 0
+        return 1 + max(walk(node.left), walk(node.right))
+    return walk(m.root_)
+
+
+def logistic_loss_path(X, y, learning_rate, n_iterations):
+    """Training cross-entropy after 0, 1, ..., n_iterations gradient steps.
+
+    Descent is deterministic, so the model after k steps of a long fit is the
+    model a fit with ``n_iterations=k`` returns.
+    """
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    eps = 1e-12
+    losses = []
+    for k in range(n_iterations + 1):
+        m = LogisticRegressionModel(learning_rate=learning_rate, n_iterations=k).fit(X, y)
+        if len(m.label_set) == 2:
+            t = (y == m.label_set[1]).astype(float)[:, None]
+        else:
+            t = np.column_stack([(y == c).astype(float) for c in m.label_set])
+        p = expit((X - m.mean_) / m.std_ @ m.weights_.T + m.biases_)
+        losses.append(float(-np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))))
+    return losses
 
 
 def two_cluster_dataset(n_per=20, seed=0):
@@ -169,7 +198,7 @@ def test_tree_depth_respects_default_cap():
     X = rng.normal(size=(800, 4))
     y = rng.integers(0, 2, size=800)  # pure noise forces deep growth
     m = DecisionTreeModel(max_depth=12).fit(X, y)
-    assert m.depth() <= 12
+    assert tree_depth(m) <= 12
 
 
 def test_forest_one_tree_no_bootstrap_equals_tree():
@@ -182,9 +211,7 @@ def test_forest_one_tree_no_bootstrap_equals_tree():
 
 def test_logistic_loss_non_increasing_at_small_lr():
     d = generate_synthetic_benchmark(n=500, d=4, imbalance_ratio=8, noise_rate=0.05, seed=4)
-    m = LogisticRegressionModel(learning_rate=0.01, n_iterations=300)
-    m.fit(np.asarray(d.features, dtype=float), np.asarray(d.labels))
-    diffs = np.diff(m.loss_history_)
+    diffs = np.diff(logistic_loss_path(d.features, d.labels, 0.01, 300))
     assert np.all(diffs <= 1e-12)
 
 

@@ -3,8 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbenhance.cli import main
+from imbenhance.classifiers import ClassifierSpec
+from imbenhance.cli import _merge_config, build_parser, main
 from imbenhance.data import load_csv, preprocess
+from imbenhance.pipeline import PipelineConfig
+from imbenhance.selflearn import PseudoLabelConfig
 
 
 def run_cli(*argv):
@@ -101,6 +104,57 @@ def test_enhance_stage_error_exit_code(small_csv, tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert "synthesis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--retention", "maybe"),
+                                         ("--synthesis-split-ratio", "half")])
+def test_bad_flag_value_exits_1_naming_the_key(small_csv, tmp_path, capsys, flag, value):
+    code = run_cli("enhance", str(small_csv), flag, value, "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')}: ")
+
+
+def test_bad_config_file_value_names_file_line_and_key(small_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("max_depth = 6\nk_folds = five\n")
+    code = run_cli("enhance", str(small_csv), "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"error: {cfg}:2: k_folds: " in capsys.readouterr().err
+
+
+def test_unreplayable_config_fails_before_the_run(small_csv, tmp_path, capsys):
+    # '#' starts a comment in config_resolved.txt, so this path cannot be replayed
+    data = tmp_path / "d#1.csv"
+    data.write_bytes(small_csv.read_bytes())
+    out = tmp_path / "o"
+    assert run_cli("enhance", str(data), "--out", str(out)) == 1
+    assert "input_path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_pipeline_flag_reaches_the_config(tmp_path):
+    argv = ["benchmark", "in.csv", "--unlabeled", "pool.csv", "--label-column", "target",
+            "--positive-label", "0", "--seed", "5", "--classifier", "random-forest",
+            "--max-depth", "4", "--n-estimators", "7", "--learning-rate", "0.5",
+            "--n-iterations", "9", "--techniques", "smote", "--smote-k-neighbors", "2",
+            "--target-ratio", "0.5", "--synthesis-split-ratio", "0.7",
+            "--threshold-grid", "0.1,0.5", "--retention", "false", "--strategy", "dds",
+            "--k-folds", "3", "--target-percentage", "0.2", "--max-iterations", "4",
+            "--disable-synthesis", "--disable-filtering", "--disable-selflearning",
+            "--folds", "4", "--hide-labels", "0.25"]
+    cfg = _merge_config(build_parser().parse_args(argv))
+    assert cfg == PipelineConfig(
+        input_path="in.csv", unlabeled_path="pool.csv", label_column="target",
+        positive_label=0, seed=5,
+        classifier=ClassifierSpec(kind="random-forest", max_depth=4, n_estimators=7,
+                                  learning_rate=0.5, n_iterations=9, seed=5),
+        techniques=["smote"], smote_k_neighbors=2, target_ratio=0.5,
+        synthesis_split_ratio=0.7, threshold_grid=(0.1, 0.5), retention=False,
+        strategy="dds", pseudo=PseudoLabelConfig(k_folds=3, target_percentage=0.2,
+                                                 max_iterations=4),
+        disable_synthesis=True, disable_filtering=True, disable_selflearning=True,
+        benchmark_folds=4, hide_labels=0.25)
 
 
 def test_ablation_switches_run(small_csv, tmp_path):

@@ -5,7 +5,6 @@ from imbenhance.classifiers import ClassifierSpec, TrainedModel
 from imbenhance.data import Dataset, SplitSpec, class_stats, generate_synthetic_benchmark
 from imbenhance.filtering import (
     DEFAULT_THRESHOLD_GRID,
-    MarginRecord,
     filter_sweep,
     margins,
     retain_by_class,
@@ -60,16 +59,16 @@ def stats_for(counts):
 
 def test_margin_binary_rows():
     m = FixedRowsModel([[0.9, 0.1], [0.5, 0.5]])
-    recs = margins(m, labeled([[0.0], [0.0]], [0, 1]))
-    assert recs[0].margin == pytest.approx(0.8)
-    assert recs[1].margin == pytest.approx(0.0)
-    assert [r.row_index for r in recs] == [0, 1]
+    deltas = margins(m, labeled([[0.0], [0.0]], [0, 1]))
+    assert deltas[0] == pytest.approx(0.8)
+    assert deltas[1] == pytest.approx(0.0)
+    assert deltas.shape == (2,)
 
 
 def test_margin_three_class_uses_second_highest():
     m = FixedRowsModel([[0.5, 0.3, 0.2]], label_set=(-1, 0, 1))
-    recs = margins(m, labeled([[0.0]], [1]))
-    assert recs[0].margin == pytest.approx(0.2)
+    deltas = margins(m, labeled([[0.0]], [1]))
+    assert deltas[0] == pytest.approx(0.2)
 
 
 # --------------------------------------------------------- retention counts
@@ -85,8 +84,7 @@ def test_retention_counts_tiebreak():
 def test_retain_by_class_shortfall_not_reassigned():
     # pool: 8 rows of class 0, 2 rows of class 1; quotas from 50/50 priors -> (5, 5)
     pool = labeled(np.arange(10).reshape(10, 1), [0] * 8 + [1] * 2)
-    recs = [MarginRecord(i, 0.1 * i) for i in range(10)]
-    out = retain_by_class(pool, stats_for([50, 50]), recs)
+    out = retain_by_class(pool, stats_for([50, 50]), 0.1 * np.arange(10))
     assert int(np.sum(out.labels == 0)) == 5
     assert int(np.sum(out.labels == 1)) == 2  # both retained, shortfall 3 dropped
     assert np.all(out.provenance == "retained")
@@ -96,14 +94,13 @@ def test_retain_by_class_prefers_high_margin():
     # 50/50 priors over a 4-row all-class-0 pool: quota for class 0 is 2,
     # so the two highest-margin rows (indices 1 and 3) are retained
     pool = labeled(np.arange(4).reshape(4, 1), [0, 0, 0, 0])
-    recs = [MarginRecord(0, 0.1), MarginRecord(1, 0.9), MarginRecord(2, 0.5), MarginRecord(3, 0.7)]
-    out = retain_by_class(pool, stats_for([50, 50]), recs)
+    out = retain_by_class(pool, stats_for([50, 50]), np.array([0.1, 0.9, 0.5, 0.7]))
     assert sorted(out.features[:, 0].tolist()) == [1.0, 3.0]
 
 
 def test_retain_by_class_empty_pool():
     pool = labeled(np.empty((0, 1)), np.empty(0, dtype=int))
-    out = retain_by_class(pool, stats_for([5, 5]), [])
+    out = retain_by_class(pool, stats_for([5, 5]), np.empty(0))
     assert out.n_rows == 0
 
 
@@ -211,8 +208,7 @@ def test_sweep_monotone_kept_sets_and_invariants():
                        thresholds=DEFAULT_THRESHOLD_GRID, original_stats=stats)
 
     # kept-set monotonicity in t (before retention)
-    recs = margins(syn.model, syn.augmented)
-    deltas = np.array([r.margin for r in recs])
+    deltas = margins(syn.model, syn.augmented)
     kept_sets = [set(np.flatnonzero(deltas >= t)) for t in DEFAULT_THRESHOLD_GRID]
     for a, b in zip(kept_sets, kept_sets[1:]):
         assert b <= a
@@ -238,8 +234,7 @@ def test_sweep_retained_rows_come_from_pool():
     out = filter_sweep(syn.augmented, syn.misclassified, syn.model,
                        ClassifierSpec(kind="decision-tree", max_depth=6),
                        original_stats=stats)
-    recs = margins(syn.model, syn.augmented)
-    deltas = np.array([r.margin for r in recs])
+    deltas = margins(syn.model, syn.augmented)
     pool_rows = {tuple(r) for r in syn.augmented.features[deltas < out.chosen_threshold]}
     retained = out.filtered.features[out.filtered.provenance == "retained"]
     for row in retained:

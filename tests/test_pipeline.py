@@ -1,10 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbenhance.classifiers import ClassifierSpec
 from imbenhance.data import SplitSpec, class_stats, generate_synthetic_benchmark, stratified_split
 from imbenhance.filtering import filter_sweep
 from imbenhance.pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     StageError,
     benchmark,
@@ -14,6 +20,7 @@ from imbenhance.pipeline import (
     run_pipeline,
     serialize_config,
 )
+from imbenhance.selflearn import PseudoLabelConfig
 from imbenhance.synthesis import meta_synthesize
 
 
@@ -215,6 +222,91 @@ def test_config_comments_and_blanks(tmp_path):
     p.write_text("# a comment\n\nseed = 9  # trailing\nstrategy = kfulf\n")
     cfg = config_from_mapping(parse_config_file(p))
     assert cfg.seed == 9 and cfg.strategy == "kfulf"
+
+
+def test_config_bad_value_names_file_line_and_key(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("strategy = dds\nseed = abc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: seed: invalid literal")):
+        parse_config_file(p)
+
+
+def test_config_repeated_key_names_both_lines(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("seed = 1\n# comment\nseed = 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:3: config key 'seed' already set on line 1")):
+        parse_config_file(p)
+
+
+def test_serialize_rejects_seed_not_seeding_the_classifier():
+    with pytest.raises(ValueError, match="classifier.seed"):
+        serialize_config(PipelineConfig(seed=7))
+
+
+def test_serialize_rejects_field_without_a_key():
+    with pytest.raises(ValueError, match="classifier.bootstrap"):
+        serialize_config(PipelineConfig(classifier=ClassifierSpec(bootstrap=False)))
+
+
+_TEXT = st.text(alphabet="ab/._-=, 09", max_size=10).map(str.strip)
+_FLOAT = st.floats(allow_nan=False)
+_FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+ROW_VALUES = {
+    "input": _TEXT,
+    "unlabeled": _TEXT,
+    "label_column": _TEXT.filter(bool),
+    "positive_label": st.none() | st.integers(-3, 3),
+    "seed": st.integers(0, 2**32),
+    "classifier": st.sampled_from(["decision-tree", "random-forest", "logistic-regression"]),
+    "max_depth": st.integers(1, 64),
+    "n_estimators": st.integers(1, 500),
+    "learning_rate": _FLOAT,
+    "n_iterations": st.integers(1, 5000),
+    "techniques": st.lists(st.sampled_from(["random-oversample", "smote"])
+                           | _TEXT.filter(lambda t: "," not in t).map(lambda t: f"replay:{t}"),
+                           min_size=1, max_size=4),
+    "smote_k_neighbors": st.integers(1, 50),
+    "target_ratio": _FLOAT,
+    "synthesis_split_ratio": _FLOAT,
+    "threshold_grid": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(tuple),
+    "retention": st.booleans(),
+    "strategy": st.sampled_from(["auto", "kfulf", "dds"]),
+    "k_folds": st.integers(2, 20),
+    "target_percentage": _FRACTION,
+    "max_iterations": st.integers(1, 1000),
+    "disable_synthesis": st.booleans(),
+    "disable_filtering": st.booleans(),
+    "disable_selflearning": st.booleans(),
+    "benchmark_folds": st.integers(2, 20),
+    "hide_labels": st.floats(0.0, 1.0, exclude_max=True),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries(ROW_VALUES))
+def test_config_round_trip_property(tmp_path_factory, values):
+    kwargs = {"": {}, "classifier": {"seed": values["seed"]}, "pseudo": {}}
+    for key, path, *_ in CONFIG_KEYS:
+        owner, _, name = path.rpartition(".")
+        kwargs[owner][name] = values[key]
+    cfg = PipelineConfig(**kwargs[""], classifier=ClassifierSpec(**kwargs["classifier"]),
+                         pseudo=PseudoLabelConfig(**kwargs["pseudo"]))
+    text = serialize_config(cfg)
+    p = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    p.write_text(text, encoding="utf-8")
+    again = config_from_mapping(parse_config_file(p))
+    assert again == cfg
+    assert serialize_config(again) == text
+
+
+def test_readme_config_block_is_the_defaults_in_table_order(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config file\n.*?```\n(.*?)```", readme, re.S).group(1)
+    p = tmp_path / "readme_cfg.txt"
+    p.write_text(block, encoding="utf-8")
+    mapping = parse_config_file(p)
+    assert list(mapping) == [key for key, *_ in CONFIG_KEYS]
+    assert config_from_mapping(mapping) == PipelineConfig()
 
 
 # ------------------------------------------------------------------ reports

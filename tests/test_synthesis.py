@@ -78,6 +78,14 @@ def test_smote_requires_two_minority_rows():
         smote(Dataset(features=X, labels=y))
 
 
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_smote_rejects_fewer_than_one_neighbor(k):
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]] + [[10.0, 10.0]] * 8)
+    y = np.array([1, 1, 1] + [0] * 8)
+    with pytest.raises(ValueError, match="^k_neighbors must be at least 1$"):
+        smote(Dataset(features=X, labels=y), k_neighbors=k)
+
+
 def test_smote_rows_lie_on_a_neighbor_segment():
     rng = np.random.default_rng(5)
     M = rng.normal(0, 1, (5, 2))
