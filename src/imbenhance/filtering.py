@@ -4,7 +4,7 @@ reintegrate a class-proportional share of what was dropped."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +84,8 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
     reintegrated per ``retain_by_class`` (needs ``original_stats`` priors).
     A threshold whose candidate set is empty or single-class is recorded with
     F1 = -1 and never selected; if every threshold is skipped this raises.
-    Ties in F1 go to the smallest threshold.
+    Ties in F1 go to the smallest threshold. A threshold that keeps as many
+    rows as the one below it repeats that entry without a refit.
     """
     if aug.labels is None or mis.labels is None:
         raise ValueError("filter_sweep needs labeled datasets")
@@ -104,6 +105,11 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
     best = None  # (f1, threshold, dataset, model, retained_counts)
     for t in grid:
         keep_idx = np.flatnonzero(deltas >= t)
+        if table and table[-1].kept_count == len(keep_idx):
+            # the kept set only shrinks as t rises, so this candidate is the
+            # previous one; ties go to the smaller threshold, so it cannot win
+            table.append(replace(table[-1], threshold=t))
+            continue
         out_idx = np.flatnonzero(deltas < t)
         kept = aug.take(keep_idx)
         retained = None

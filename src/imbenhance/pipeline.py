@@ -4,6 +4,7 @@ the cross-validated before/after benchmark, and report emission."""
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -75,6 +76,16 @@ class PipelineConfig:
             raise ValueError("hide_labels must be in [0, 1)")
         if self.benchmark_folds < 2:
             raise ValueError("benchmark_folds must be at least 2")
+        if not (math.isfinite(self.target_ratio) and self.target_ratio > 0.0):
+            raise ValueError(f"target_ratio must be finite and > 0, got {self.target_ratio}")
+        if not 0.0 < self.synthesis_split_ratio < 1.0:
+            raise ValueError("synthesis_split_ratio must be in (0, 1), "
+                             f"got {self.synthesis_split_ratio}")
+        if not self.threshold_grid or any(not 0.0 <= t <= 1.0 for t in self.threshold_grid):
+            raise ValueError("threshold_grid must be a nonempty list of values in [0, 1], "
+                             f"got {self.threshold_grid}")
+        if self.smote_k_neighbors < 1:
+            raise ValueError(f"smote_k_neighbors must be at least 1, got {self.smote_k_neighbors}")
 
     def build_techniques(self):
         built = []

@@ -13,6 +13,9 @@ from .classifiers import ClassifierSpec, TrainedModel, fit, predict
 from .data import Dataset, SplitSpec, class_stats, concat_datasets, load_csv, stratified_split
 from .metrics import f1_score
 
+# Elements of one block's difference tensor in SMOTE's neighbour search (1 MB).
+_NEIGHBOR_BLOCK_ELEMENTS = 2**17
+
 
 def _minority_info(train: Dataset):
     if train.labels is None:
@@ -57,7 +60,8 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
 
     Each synthetic row is x + u * (x_nn - x) for uniform u in [0, 1] and x_nn
     among the k Euclidean-nearest minority neighbors of x. k is clamped to
-    minority_count - 1.
+    minority_count - 1. The neighbor search is exact, distance ties go to the
+    lower row index, and its memory is linear in the minority count.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -69,11 +73,16 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
     k = min(k_neighbors, n_min - 1)
     needed = _rows_needed(n_min, majority_count, target_ratio)
 
-    diffs = M[:, None, :] - M[None, :, :]
-    dists = np.sqrt(np.sum(diffs ** 2, axis=2))
-    np.fill_diagonal(dists, np.inf)
-    # ties in distance resolve to the lower row index
-    neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    # exact search over row blocks, so memory stays linear in n_min
+    block = max(1, _NEIGHBOR_BLOCK_ELEMENTS // max(1, n_min * M.shape[1]))
+    neighbor_ids = np.empty((n_min, k), dtype=np.intp)
+    for start in range(0, n_min, block):
+        stop = min(start + block, n_min)
+        diffs = M[start:stop, None, :] - M[None, :, :]
+        dists = np.sqrt(np.sum(diffs ** 2, axis=2))
+        dists[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # ties in distance resolve to the lower row index
+        neighbor_ids[start:stop] = np.argsort(dists, axis=1, kind="stable")[:, :k]
 
     rng = np.random.default_rng(seed)
     rows = np.empty((needed, M.shape[1]))

@@ -123,6 +123,31 @@ def test_bad_config_file_value_names_file_line_and_key(small_csv, tmp_path, caps
     assert f"error: {cfg}:2: k_folds: " in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [("target_ratio", "-1"), ("target_ratio", "nan"), ("target_ratio", "inf"),
+                ("synthesis_split_ratio", "1.5"), ("synthesis_split_ratio", "0"),
+                ("threshold_grid", "0.2,1.5"), ("threshold_grid", ","),
+                ("smote_k_neighbors", "0")]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_flag_fails_before_the_run(small_csv, tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    flag = "--" + key.replace("_", "-")
+    assert run_cli("enhance", str(small_csv), flag, value, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_config_value_fails_before_the_run(small_csv, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert run_cli("benchmark", str(small_csv), "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not out.exists()
+
+
 def test_unreplayable_config_fails_before_the_run(small_csv, tmp_path, capsys):
     # '#' starts a comment in config_resolved.txt, so this path cannot be replayed
     data = tmp_path / "d#1.csv"

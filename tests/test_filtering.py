@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from imbenhance.classifiers import ClassifierSpec, TrainedModel
+from imbenhance import filtering
+from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit
 from imbenhance.data import Dataset, SplitSpec, class_stats, generate_synthetic_benchmark
 from imbenhance.filtering import (
     DEFAULT_THRESHOLD_GRID,
@@ -190,6 +191,24 @@ def test_sweep_empty_mis_raises():
     mis = labeled(np.empty((0, 1)), np.empty(0, dtype=int))
     with pytest.raises(ValueError, match="empty"):
         filter_sweep(aug, mis, m, ClassifierSpec(), retention=False)
+
+
+def test_sweep_refits_only_distinct_candidates(monkeypatch):
+    # kept counts 4, 4, 2, 2, 0: the second of each equal pair is the same
+    # candidate; at 0.95 retention alone refills the candidate
+    aug, m = make_margin_setup([0.9, 0.9, 0.2, 0.2], [0, 1, 0, 1])
+    mis = labeled([[0.0], [1.0]], [1, 0])
+    grid = [0.0, 0.1, 0.3, 0.5, 0.95]
+    kwargs = dict(original_stats=stats_for([2, 2]), retention=True)
+    fitted = []
+    monkeypatch.setattr(filtering, "fit", lambda spec, ds: fitted.append(ds.n_rows) or fit(spec, ds))
+    out = filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=grid, **kwargs)
+    assert [e.kept_count for e in out.table] == [4, 4, 2, 2, 0]
+    assert len(fitted) == 3
+    # each entry is what a sweep over its threshold alone records
+    alone = [filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[t], **kwargs).table[0]
+             for t in grid]
+    assert out.table == alone
 
 
 def real_pipeline_pieces(seed=42):

@@ -266,8 +266,8 @@ ROW_VALUES = {
                            | _TEXT.filter(lambda t: "," not in t).map(lambda t: f"replay:{t}"),
                            min_size=1, max_size=4),
     "smote_k_neighbors": st.integers(1, 50),
-    "target_ratio": _FLOAT,
-    "synthesis_split_ratio": _FLOAT,
+    "target_ratio": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "synthesis_split_ratio": _FRACTION,
     "threshold_grid": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(tuple),
     "retention": st.booleans(),
     "strategy": st.sampled_from(["auto", "kfulf", "dds"]),

@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from imbenhance import synthesis
 from imbenhance.classifiers import ClassifierSpec, TrainedModel
 from imbenhance.data import Dataset, SplitSpec, class_stats, concat_datasets, generate_synthetic_benchmark
 from imbenhance.synthesis import (
@@ -111,6 +117,62 @@ def test_smote_rows_lie_on_a_neighbor_segment():
     # and inside the minority bounding box
     lo, hi = M.min(axis=0), M.max(axis=0)
     assert np.all(syn.features >= lo - 1e-9) and np.all(syn.features <= hi + 1e-9)
+
+
+def _reference_smote(M, k_neighbors, needed, seed):
+    """SMOTE rows from minority rows M, building the whole n_min x n_min x d
+    difference tensor at once. The oracle for the block-chunked search."""
+    n_min = len(M)
+    k = min(k_neighbors, n_min - 1)
+    diffs = M[:, None, :] - M[None, :, :]
+    dists = np.sqrt(np.sum(diffs ** 2, axis=2))
+    np.fill_diagonal(dists, np.inf)
+    neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    rng = np.random.default_rng(seed)
+    rows = np.empty((needed, M.shape[1]))
+    for i in range(needed):
+        base = int(rng.integers(0, n_min))
+        nn = M[neighbor_ids[base, int(rng.integers(0, k))]]
+        u = rng.random()
+        rows[i] = M[base] + u * (nn - M[base])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_min=st.integers(2, 40), d=st.integers(0, 5), block_rows=st.integers(1, 45),
+       k=st.integers(1, 45), spread=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(n_min=23, d=3, block_rows=5, k=5, spread=1, seed=0)    # several blocks, last partial
+@example(n_min=7, d=2, block_rows=1, k=3, spread=1, seed=1)     # one row per block
+@example(n_min=6, d=2, block_rows=4, k=9, spread=2, seed=2)     # k clamped to n_min - 1
+def test_chunked_smote_matches_unchunked_reference(n_min, d, block_rows, k, spread, seed):
+    rng = np.random.default_rng(seed)
+    # integer-valued features on a narrow range: many tied distances
+    M = rng.integers(-spread, spread + 1, (n_min, d)).astype(float)
+    X = np.vstack([M, rng.normal(0, 1, (n_min + 5, d))])
+    y = np.array([1] * n_min + [0] * (n_min + 5))
+    train = Dataset(features=X, labels=y)
+    budget = block_rows * n_min * max(1, d)   # exactly block_rows rows per block
+    with mock.patch.object(synthesis, "_NEIGHBOR_BLOCK_ELEMENTS", budget):
+        got = smote(train, k_neighbors=k, target_ratio=1.0, seed=seed)
+    want = _reference_smote(M, k, needed=5, seed=seed)
+    assert got.features.shape == want.shape
+    assert np.array_equal(got.features, want)
+
+
+def test_smote_neighbor_search_memory_is_linear_in_minority_rows():
+    # the unchunked search allocates 2000 * 2000 * 8 doubles (about 256 MB) twice
+    rng = np.random.default_rng(8)
+    X = np.vstack([rng.normal(0, 1, (2000, 8)), rng.normal(3, 1, (2100, 8))])
+    y = np.array([1] * 2000 + [0] * 2100)
+    train = Dataset(features=X, labels=y)
+    tracemalloc.start()
+    try:
+        syn = smote(train, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert syn.n_rows == 100
+    assert peak < 32 * 2**20
 
 
 def test_smote_parity_count():
