@@ -484,7 +484,6 @@ class SplitSpec:
     mode: str = "holdout"   # "holdout" | "k-fold"
     ratio: float = 0.8      # train fraction, holdout mode
     k: int = 3              # fold count, k-fold mode
-    stratified: bool = True
     seed: int = 42
 
     def __post_init__(self):

@@ -75,8 +75,8 @@ def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
 
 def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
                  classifier_spec: ClassifierSpec, thresholds=DEFAULT_THRESHOLD_GRID,
-                 original_stats: ClassStats | None = None, retention: bool = True,
-                 trainer=None) -> FilterOutcome:
+                 original_stats: ClassStats | None = None,
+                 retention: bool = True) -> FilterOutcome:
     """Try every margin threshold; keep the filtered set whose retrained model
     scores best on the misclassified validation rows.
 
@@ -96,8 +96,6 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
     grid = sorted(set(float(t) for t in thresholds))
     if not grid or any(not 0.0 <= t <= 1.0 for t in grid):
         raise ValueError("thresholds must be a nonempty grid within [0, 1]")
-    if trainer is None:
-        trainer = lambda ds: fit(classifier_spec, ds)
 
     deltas = margins(m, aug)
 
@@ -122,7 +120,7 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
         if candidate.n_rows == 0 or len(np.unique(candidate.labels)) < 2:
             table.append(SweepEntry(t, -1.0, len(keep_idx), len(out_idx), n_retained))
             continue
-        model = trainer(candidate)
+        model = fit(classifier_spec, candidate)
         preds = predict(model, mis, threshold=0.5)
         f1 = f1_score(mis.labels, preds)
         table.append(SweepEntry(t, f1, len(keep_idx), len(out_idx), n_retained))

@@ -47,7 +47,8 @@ class StageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline run depends on; serializable as flat key = value."""
+    """Everything a pipeline run depends on; serializable as flat key = value.
+    ``seed`` also seeds the classifier: ``classifier.seed`` is always ``seed``."""
 
     seed: int = 42
     label_column: str = "y"
@@ -70,6 +71,7 @@ class PipelineConfig:
     unlabeled_path: str = ""
 
     def __post_init__(self):
+        self.classifier = replace(self.classifier, seed=self.seed)
         if self.strategy not in ("auto", "kfulf", "dds"):
             raise ValueError("strategy must be auto, kfulf, or dds")
         if not 0.0 <= self.hide_labels < 1.0:
@@ -286,8 +288,7 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
     baseline_reports, enhanced_reports, results, sizes = [], [], [], []
     for i, test_fold in enumerate(folds):
         train_fold = concat_datasets([f for j, f in enumerate(folds) if j != i])
-        fold_cfg = replace(cfg, seed=cfg.seed + i,
-                           classifier=replace(cfg.classifier, seed=cfg.classifier.seed + i))
+        fold_cfg = replace(cfg, seed=cfg.seed + i)
         baseline_model = fit(fold_cfg.classifier, train_fold)
         baseline_reports.append(evaluate(baseline_model, test_fold))
 
@@ -394,7 +395,7 @@ def parse_config_file(path) -> dict:
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:
     """Build a PipelineConfig from string key/value pairs (file or CLI). A
-    missing or blank key keeps the default; ``seed`` also seeds the classifier."""
+    missing or blank key keeps the default."""
     unknown = sorted(set(mapping) - set(_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
@@ -402,7 +403,7 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     for key, path, _, _ in CONFIG_KEYS:
         if mapping.get(key, "") != "":
             cfg = _replace_path(cfg, path, _parse_value(key, mapping[key]))
-    return _replace_path(cfg, "classifier.seed", cfg.seed)
+    return cfg
 
 
 def _format_value(value) -> str:
@@ -520,10 +521,10 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
                                  e.get("pool_size", ""), e.get("selected", ""),
                                  e.get("tested", ""), e.get("kept", ""),
                                  e.get("f1_base", ""), e.get("f1_new", ""),
-                                 e.get("accepted", ""), e.get("holdout_f1", "")])
+                                 e.get("accepted", "")])
         _write_rows(record(out / "selflearn_log.csv"),
                     ["strategy", "event", "index", "pool_size", "selected",
-                     "tested", "kept", "f1_base", "f1_new", "accepted", "holdout_f1"],
+                     "tested", "kept", "f1_base", "f1_new", "accepted"],
                     log_rows)
 
         lines = [_distribution_summary("input", result.input_data)]

@@ -17,11 +17,13 @@ from .classifiers import ClassifierSpec, fit, predict, predict_proba
 from .data import Dataset, concat_datasets
 from .metrics import f1_score
 
+# Abstention label KFULF gives out-of-fold pool rows; never in the output.
+ARTIFICIAL_LABEL = -1
+
 
 @dataclass
 class PseudoLabelConfig:
     k_folds: int = 5
-    artificial_label: int = -1
     target_percentage: float = 0.30
     max_iterations: int = 100
 
@@ -56,8 +58,25 @@ def _pseudo_dataset(unlabeled: Dataset, indices, labels) -> Dataset:
     return ds.with_provenance("pseudo-labeled")
 
 
+def _outcome(train: Dataset, unlabeled: Dataset, strategy: str, indices: list,
+             labels: list, log: list) -> SelfLearnOutcome:
+    """``train`` plus the pseudo-labeled pool rows ``indices``, appended in order."""
+    pseudo_idx = np.array(indices, dtype=int)
+    pseudo_lbl = np.array(labels, dtype=int)
+    enhanced = train if len(pseudo_idx) == 0 else concat_datasets(
+        [train, _pseudo_dataset(unlabeled, pseudo_idx, pseudo_lbl)])
+    return SelfLearnOutcome(enhanced=enhanced, strategy_used=strategy,
+                            pseudo_count=len(pseudo_idx), log=log,
+                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl)
+
+
+def _f1(model, ds: Dataset) -> float:
+    """F1 of ``model``'s predictions at threshold 0.5 against ``ds``'s labels."""
+    return f1_score(ds.labels, predict(model, ds, threshold=0.5))
+
+
 def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSpec,
-          cfg: PseudoLabelConfig, trainer=None) -> SelfLearnOutcome:
+          cfg: PseudoLabelConfig) -> SelfLearnOutcome:
     """K-fold unknown-label filtering.
 
     The pool splits into k folds. For each fold, every other fold joins the
@@ -73,32 +92,23 @@ def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: Classifier
     if unlabeled.n_rows < cfg.k_folds:
         raise ValueError(f"unlabeled pool of {unlabeled.n_rows} rows is smaller "
                          f"than k_folds={cfg.k_folds}")
-    if trainer is None:
-        trainer = lambda ds: fit(classifier_spec, ds)
 
-    art = cfg.artificial_label
     folds = np.array_split(np.arange(unlabeled.n_rows), cfg.k_folds)
     kept_idx: list[int] = []
     kept_labels: list[int] = []
     log = []
     for k, fold in enumerate(folds):
         rest = np.concatenate([f for j, f in enumerate(folds) if j != k])
-        pool_part = unlabeled.take(rest).with_labels(np.full(len(rest), art, dtype=int))
-        model = trainer(concat_datasets([train, pool_part]))
+        pool_part = unlabeled.take(rest).with_labels(
+            np.full(len(rest), ARTIFICIAL_LABEL, dtype=int))
+        model = fit(classifier_spec, concat_datasets([train, pool_part]))
         preds = predict(model, unlabeled.take(fold))
-        keep = preds != art
+        keep = preds != ARTIFICIAL_LABEL
         kept_idx.extend(fold[keep].tolist())
         kept_labels.extend(np.asarray(preds)[keep].tolist())
         log.append({"event": "fold", "fold": k, "tested": int(len(fold)),
                     "kept": int(np.sum(keep))})
-
-    pseudo_idx = np.array(kept_idx, dtype=int)
-    pseudo_lbl = np.array(kept_labels, dtype=int)
-    enhanced = train if len(pseudo_idx) == 0 else concat_datasets(
-        [train, _pseudo_dataset(unlabeled, pseudo_idx, pseudo_lbl)])
-    return SelfLearnOutcome(enhanced=enhanced, strategy_used="KFULF",
-                            pseudo_count=len(pseudo_idx), log=log,
-                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl)
+    return _outcome(train, unlabeled, "KFULF", kept_idx, kept_labels, log)
 
 
 def _selection_size(pct: float, pool: int) -> int:
@@ -107,8 +117,7 @@ def _selection_size(pct: float, pool: int) -> int:
 
 
 def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSpec,
-        cfg: PseudoLabelConfig, trainer=None, score_fn=None,
-        diagnostic_holdout: Dataset | None = None) -> SelfLearnOutcome:
+        cfg: PseudoLabelConfig) -> SelfLearnOutcome:
     """Delay-decision strategy.
 
     Each round ranks the remaining pool by model confidence (max class
@@ -120,15 +129,11 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
     """
     if train.labels is None:
         raise ValueError("dds requires a labeled training set")
-    if trainer is None:
-        trainer = lambda ds: fit(classifier_spec, ds)
-    if score_fn is None:
-        score_fn = lambda model, ds: f1_score(ds.labels, predict(model, ds, threshold=0.5))
     if unlabeled is None or unlabeled.n_rows == 0:
         return _noop_outcome(train, "DDS", "empty unlabeled pool")
 
-    model = trainer(train)
-    f1_base = score_fn(model, train)
+    model = fit(classifier_spec, train)
+    f1_base = _f1(model, train)
     pool_ids = np.arange(unlabeled.n_rows)
     accepted_idx: list[int] = []
     accepted_labels: list[int] = []
@@ -150,16 +155,13 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         tmp_parts.append(_pseudo_dataset(unlabeled, pool_ids[top], y_sel))
         tmp = concat_datasets(tmp_parts)
 
-        model = trainer(tmp)
-        f1_new = score_fn(model, tmp)
+        model = fit(classifier_spec, tmp)
+        f1_new = _f1(model, tmp)
         accepted = f1_new > f1_base
-        entry = {"event": "iteration", "iteration": iterations,
-                 "pool_size": int(len(pool_ids)), "selected": int(len(top)),
-                 "f1_base": float(f1_base), "f1_new": float(f1_new),
-                 "accepted": bool(accepted)}
-        if diagnostic_holdout is not None:
-            entry["holdout_f1"] = float(score_fn(model, diagnostic_holdout))
-        log.append(entry)
+        log.append({"event": "iteration", "iteration": iterations,
+                    "pool_size": int(len(pool_ids)), "selected": int(len(top)),
+                    "f1_base": float(f1_base), "f1_new": float(f1_new),
+                    "accepted": bool(accepted)})
 
         if not accepted:
             break
@@ -167,41 +169,22 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         accepted_idx.extend(pool_ids[top].tolist())
         accepted_labels.extend(np.asarray(y_sel).tolist())
         pool_ids = np.delete(pool_ids, top)
-
-    pseudo_idx = np.array(accepted_idx, dtype=int)
-    pseudo_lbl = np.array(accepted_labels, dtype=int)
-    enhanced = train if len(pseudo_idx) == 0 else concat_datasets(
-        [train, _pseudo_dataset(unlabeled, pseudo_idx, pseudo_lbl)])
-    return SelfLearnOutcome(enhanced=enhanced, strategy_used="DDS",
-                            pseudo_count=len(pseudo_idx), log=log,
-                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl)
+    return _outcome(train, unlabeled, "DDS", accepted_idx, accepted_labels, log)
 
 
 def select_strategy(train: Dataset, unlabeled: Dataset | None,
                     selection_holdout: Dataset, classifier_spec: ClassifierSpec,
-                    cfg: PseudoLabelConfig, strategies=None,
-                    score_fn=None) -> SelfLearnOutcome:
+                    cfg: PseudoLabelConfig) -> SelfLearnOutcome:
     """Run KFULF and DDS, score each enhanced set on the holdout, keep the winner.
 
     A fresh model is fitted on each strategy's enhanced dataset and scored by
-    F1 on ``selection_holdout``; ties go to the first strategy listed (KFULF).
+    F1 on ``selection_holdout``; ties go to KFULF.
     """
     if selection_holdout.labels is None:
         raise ValueError("selection holdout must be labeled")
-    if strategies is None:
-        strategies = [
-            ("KFULF", lambda: kfulf(train, unlabeled, classifier_spec, cfg)),
-            ("DDS", lambda: dds(train, unlabeled, classifier_spec, cfg)),
-        ]
-    if score_fn is None:
-        def score_fn(outcome):
-            model = fit(classifier_spec, outcome.enhanced)
-            return f1_score(selection_holdout.labels,
-                            predict(model, selection_holdout, threshold=0.5))
-
-    outcomes = [(name, run()) for name, run in strategies]
-    scores = [score_fn(outcome) for _, outcome in outcomes]
-    best = int(np.argmax(scores))  # first max wins ties
-    winner = outcomes[best][1]
-    winner.selection_f1 = {name: float(s) for (name, _), s in zip(outcomes, scores)}
+    outcomes = [kfulf(train, unlabeled, classifier_spec, cfg),
+                dds(train, unlabeled, classifier_spec, cfg)]
+    scores = [_f1(fit(classifier_spec, o.enhanced), selection_holdout) for o in outcomes]
+    winner = outcomes[int(np.argmax(scores))]  # first max wins ties
+    winner.selection_f1 = {o.strategy_used: float(s) for o, s in zip(outcomes, scores)}
     return winner

@@ -160,7 +160,7 @@ class SynthesisOutcome:
 
 
 def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpec,
-                    split: SplitSpec, trainer=None) -> SynthesisOutcome:
+                    split: SplitSpec) -> SynthesisOutcome:
     """Race the synthesis techniques on a stratified holdout and keep the best.
 
     For each technique: generate minority rows from the training part, train,
@@ -174,13 +174,11 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     if split.mode != "holdout":
         raise ValueError("meta_synthesize needs a holdout split spec")
     train, val = stratified_split(d, split)
-    if trainer is None:
-        trainer = lambda ds: fit(classifier_spec, ds)
 
     def run(technique, tech_index):
         syn = technique.generate(train, seed=split.seed + tech_index)
         aug = concat_datasets([train, syn])
-        model = trainer(aug)
+        model = fit(classifier_spec, aug)
         preds = predict(model, val, threshold=0.5)
         return aug, model, preds, f1_score(val.labels, preds)
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from imbenhance import selflearn, synthesis
 from imbenhance.classifiers import (
     ClassifierSpec,
     DecisionTreeModel,
@@ -117,29 +118,31 @@ class _Marker:
                        feature_names=list(train.feature_names))
 
 
-def test_c03_meta_synthesis_argmax_tie_and_bookkeeping():
+def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
     d = Dataset(features=np.arange(20, dtype=float).reshape(10, 2),
                 labels=np.array([0, 1] * 5))
     split = SplitSpec(ratio=0.8, seed=1)
 
-    def trainer_for(mapping):
-        def trainer(aug):
+    def fit_for(mapping):
+        def marker_fit(spec, aug):
             for marker, cls in mapping.items():
                 if np.any(aug.features == marker):
                     return cls()
             raise AssertionError("marker missing")
-        return trainer
+        return marker_fit
 
     # rigged F1: first technique scores 0, second scores 2/3 -> argmax = second
-    out = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
-                          ClassifierSpec(), split,
-                          trainer=trainer_for({111.0: _AllZeros, 222.0: _AllOnes}))
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "fit", fit_for({111.0: _AllZeros, 222.0: _AllOnes}))
+        out = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
+                              ClassifierSpec(), split)
     assert out.chosen_technique == "t2"
 
     # tie -> list order
-    tied = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
-                           ClassifierSpec(), split,
-                           trainer=trainer_for({111.0: _AllOnes, 222.0: _AllOnes}))
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "fit", fit_for({111.0: _AllOnes, 222.0: _AllOnes}))
+        tied = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
+                               ClassifierSpec(), split)
     assert tied.chosen_technique == "t1"
 
     # D_mis ∪ Correct(D^val) = D^val as multisets, on the stub run and a real run
@@ -211,7 +214,7 @@ def test_c04_filtering_invariants_and_blsd_retention():
 
 # --------------------------------------------------------------- criterion 5
 
-def test_c05_kfulf_invariants():
+def test_c05_kfulf_invariants(monkeypatch):
     # train features live in 100+ so pool rows (0..8) are recognizable by value
     train = Dataset(features=np.array([[100.0], [101.0], [110.0], [111.0]]),
                     labels=np.array([0, 0, 1, 1]))
@@ -221,12 +224,13 @@ def test_c05_kfulf_invariants():
     artificial_counts = []
     fold_training_rows = []
 
-    def trainer(ds):
+    def recording_fit(spec, ds):
         artificial_counts.append(int(np.sum(ds.labels == -1)))
         fold_training_rows.append(set(ds.features[:, 0].tolist()))
         return fit(ClassifierSpec(kind="decision-tree"), ds)
 
-    out = kfulf(train, pool, ClassifierSpec(), cfg, trainer=trainer)
+    monkeypatch.setattr(selflearn, "fit", recording_fit)
+    out = kfulf(train, pool, ClassifierSpec(), cfg)
 
     assert artificial_counts == [6, 6, 6]
     folds = np.array_split(np.arange(9), 3)
@@ -258,14 +262,14 @@ class _Const(TrainedModel):
         return np.tile([0.2, 0.8], (X.shape[0], 1))
 
 
-def test_c06_dds_invariants():
+def test_c06_dds_invariants(monkeypatch):
     train = Dataset(features=np.array([[0.0], [1.0], [10.0], [11.0]]),
                     labels=np.array([0, 0, 1, 1]))
     pool = Dataset(features=np.arange(100, dtype=float).reshape(100, 1))
+    monkeypatch.setattr(selflearn, "fit", lambda spec, ds: _Const())
     scripted = iter([0.2, 0.5, 0.7, 0.6])  # base, then +,+,stop
-    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(target_percentage=0.30),
-              trainer=lambda ds: _Const(),
-              score_fn=lambda model, ds: next(scripted))
+    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(scripted))
+    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(target_percentage=0.30))
     assert [e["selected"] for e in out.log] == [30, 21, 15]
     assert [e["accepted"] for e in out.log] == [True, True, False]
     assert out.pseudo_count == 51
@@ -274,11 +278,10 @@ def test_c06_dds_invariants():
     assert len(out.log) == 3  # halted on the first non-improvement
 
     rising = iter(0.1 + 0.001 * np.arange(10_000))
+    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: float(next(rising)))
     capped = dds(train, Dataset(features=np.arange(500, dtype=float).reshape(500, 1)),
                  ClassifierSpec(), PseudoLabelConfig(target_percentage=0.01,
-                                                     max_iterations=7),
-                 trainer=lambda ds: _Const(),
-                 score_fn=lambda model, ds: float(next(rising)))
+                                                     max_iterations=7))
     assert len(capped.log) == 7
     ok(6, "selection sizes 30 -> 21 on accepted rounds, strictly increasing "
           "accepted F1, halt on non-improvement, iteration cap honored")

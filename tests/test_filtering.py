@@ -107,6 +107,12 @@ def test_retain_by_class_empty_pool():
 
 # ------------------------------------------------------------- filter_sweep
 
+@pytest.fixture
+def all_ones_fit(monkeypatch):
+    """Every fit in the sweep returns AllOnesModel."""
+    monkeypatch.setattr(filtering, "fit", lambda spec, ds: AllOnesModel())
+
+
 def make_margin_setup(deltas, labels):
     """aug dataset + stub model with margin = deltas (binary rows)."""
     rows = [[(1 - dlt) / 2, (1 + dlt) / 2] for dlt in deltas]
@@ -114,76 +120,72 @@ def make_margin_setup(deltas, labels):
     return aug, FixedRowsModel(rows)
 
 
-def test_sweep_threshold_zero_is_identity():
+def test_sweep_threshold_zero_is_identity(all_ones_fit):
     aug, m = make_margin_setup([0.9, 0.4, 0.1, 0.6], [0, 1, 0, 1])
     mis = labeled([[0.0], [1.0]], [1, 0])
     out = filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[0.0],
-                       retention=False, trainer=lambda ds: AllOnesModel())
+                       retention=False)
     assert out.filtered.equals(aug)
     assert out.table[0].filtered_out_count == 0
 
 
-def test_sweep_comparison_is_inclusive():
+def test_sweep_comparison_is_inclusive(all_ones_fit):
     rows = [[0.05, 0.95], [0.25, 0.75], [0.45, 0.55]]  # margins 0.9, exactly 0.5, 0.1
     aug = labeled(np.arange(3).reshape(3, 1), [0, 1, 0])
     mis = labeled([[0.0], [1.0]], [1, 0])
     out = filter_sweep(aug, mis, FixedRowsModel(rows), ClassifierSpec(),
-                       thresholds=[0.5], retention=False,
-                       trainer=lambda ds: AllOnesModel())
+                       thresholds=[0.5], retention=False)
     entry = out.table[0]
     assert entry.kept_count == 2  # margin exactly 0.5 is kept: >= is inclusive
     assert entry.filtered_out_count == 1
 
 
-def test_sweep_counts_at_half_threshold():
+def test_sweep_counts_at_half_threshold(all_ones_fit):
     rows = [[0.05, 0.95], [0.3, 0.7], [0.45, 0.55]]  # margins near 0.9, 0.4, 0.1
     aug = labeled(np.arange(3).reshape(3, 1), [0, 1, 0])
     mis = labeled([[0.0], [1.0]], [1, 0])
     out = filter_sweep(aug, mis, FixedRowsModel(rows), ClassifierSpec(),
-                       thresholds=[0.0, 0.5], retention=False,
-                       trainer=lambda ds: AllOnesModel())
+                       thresholds=[0.0, 0.5], retention=False)
     entry = next(e for e in out.table if e.threshold == 0.5)
     assert entry.kept_count == 1 and entry.filtered_out_count == 2
 
 
-def test_sweep_rigged_f1_picks_argmax():
-    # two thresholds produce candidates of different sizes; trainer rigs their F1
+def test_sweep_rigged_f1_picks_argmax(monkeypatch):
+    # two thresholds produce candidates of different sizes; the fit rigs their F1
     aug, m = make_margin_setup([0.9, 0.9, 0.2, 0.2], [0, 1, 0, 1])
     mis = labeled([[0.0], [1.0]], [1, 0])
-
-    def trainer(ds):
-        return AllZerosModel() if ds.n_rows == 4 else AllOnesModel()
-
+    monkeypatch.setattr(filtering, "fit", lambda spec, ds:
+                        AllZerosModel() if ds.n_rows == 4 else AllOnesModel())
     out = filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[0.1, 0.5],
-                       retention=False, trainer=trainer)
+                       retention=False)
     # t=0.1 keeps all 4 -> F1 0; t=0.5 keeps 2 -> F1 2/3
     assert out.chosen_threshold == 0.5
     assert [e.f1 for e in out.table] == [0.0, pytest.approx(2 / 3)]
 
 
-def test_sweep_tie_goes_to_smallest_threshold():
+def test_sweep_tie_goes_to_smallest_threshold(all_ones_fit):
     aug, m = make_margin_setup([0.9, 0.9, 0.2, 0.2], [0, 1, 0, 1])
     mis = labeled([[0.0], [1.0]], [1, 0])
     out = filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[0.5, 0.1],
-                       retention=False, trainer=lambda ds: AllOnesModel())
+                       retention=False)
     assert out.chosen_threshold == 0.1
 
 
-def test_sweep_skips_degenerate_thresholds():
+def test_sweep_skips_degenerate_thresholds(all_ones_fit):
     aug, m = make_margin_setup([0.2, 0.2, 0.2, 0.2], [0, 1, 0, 1])
     mis = labeled([[0.0], [1.0]], [1, 0])
     out = filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[0.1, 0.9],
-                       retention=False, trainer=lambda ds: AllOnesModel())
+                       retention=False)
     assert out.table[1].f1 == -1.0  # t=0.9 keeps nothing
     assert out.chosen_threshold == 0.1
 
 
-def test_sweep_all_skipped_raises():
+def test_sweep_all_skipped_raises(all_ones_fit):
     aug, m = make_margin_setup([0.2, 0.2], [0, 1])
     mis = labeled([[0.0], [1.0]], [1, 0])
     with pytest.raises(ValueError, match="every threshold"):
         filter_sweep(aug, mis, m, ClassifierSpec(), thresholds=[0.9],
-                     retention=False, trainer=lambda ds: AllOnesModel())
+                     retention=False)
 
 
 def test_sweep_empty_mis_raises():

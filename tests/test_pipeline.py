@@ -238,9 +238,13 @@ def test_config_repeated_key_names_both_lines(tmp_path):
         parse_config_file(p)
 
 
-def test_serialize_rejects_seed_not_seeding_the_classifier():
-    with pytest.raises(ValueError, match="classifier.seed"):
-        serialize_config(PipelineConfig(seed=7))
+def test_seed_seeds_the_classifier_and_round_trips(tmp_path):
+    cfg = PipelineConfig(seed=7)
+    assert cfg.classifier.seed == 7
+    p = tmp_path / "cfg.txt"
+    p.write_text(serialize_config(cfg))
+    again = config_from_mapping(parse_config_file(p))
+    assert again == cfg and again.classifier.seed == 7
 
 
 def test_serialize_rejects_field_without_a_key():

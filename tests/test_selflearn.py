@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imbenhance import selflearn
 from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit, predict
 from imbenhance.data import Dataset, generate_synthetic_benchmark, stratified_split, SplitSpec
 from imbenhance.selflearn import (
@@ -38,19 +39,20 @@ class ConstantModel(TrainedModel):
 
 # -------------------------------------------------------------------- kfulf
 
-def test_kfulf_fold_bookkeeping_nine_rows():
+def test_kfulf_fold_bookkeeping_nine_rows(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(9).reshape(9, 1))
     cfg = PseudoLabelConfig(k_folds=3)
     artificial_counts = []
     fold_training_rows = []
 
-    def trainer(ds):
+    def recording_fit(spec, ds):
         artificial_counts.append(int(np.sum(ds.labels == -1)))
         fold_training_rows.append(set(ds.features[ds.labels == -1, 0].tolist()))
         return fit(ClassifierSpec(kind="decision-tree"), ds)
 
-    out = kfulf(train, pool, ClassifierSpec(), cfg, trainer=trainer)
+    monkeypatch.setattr(selflearn, "fit", recording_fit)
+    out = kfulf(train, pool, ClassifierSpec(), cfg)
     assert artificial_counts == [6, 6, 6]
     assert sum(e["tested"] for e in out.log) == 9
     # every pool row is tested exactly once and never trains its own fold's model
@@ -73,12 +75,13 @@ def test_kfulf_never_emits_artificial_label():
         assert set(pseudo.tolist()) <= {0, 1}
 
 
-def test_kfulf_total_abstention_contributes_nothing():
+def test_kfulf_total_abstention_contributes_nothing(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(6).reshape(6, 1))
 
-    out = kfulf(train, pool, ClassifierSpec(), PseudoLabelConfig(k_folds=3),
-                trainer=lambda ds: ConstantModel(label_set=(-1, 0, 1), p=(0.8, 0.1, 0.1)))
+    monkeypatch.setattr(selflearn, "fit", lambda spec, ds: ConstantModel(
+        label_set=(-1, 0, 1), p=(0.8, 0.1, 0.1)))
+    out = kfulf(train, pool, ClassifierSpec(), PseudoLabelConfig(k_folds=3))
     assert out.pseudo_count == 0
     assert out.enhanced.equals(train.take(np.arange(train.n_rows)))
 
@@ -120,19 +123,20 @@ def test_kfulf_pseudo_accuracy_beats_base_model_on_separated_pool():
 
 # ---------------------------------------------------------------------- dds
 
-def scripted_score_fn(values):
-    seq = iter(values)
-    return lambda model, ds: next(seq)
+def script_dds(monkeypatch, f1_values):
+    """Every DDS fit returns ConstantModel and its F1 reads the next scripted value."""
+    seq = iter(f1_values)
+    monkeypatch.setattr(selflearn, "fit", lambda spec, ds: ConstantModel())
+    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(seq))
 
 
-def test_dds_selection_counts_and_acceptance():
+def test_dds_selection_counts_and_acceptance(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(100).reshape(100, 1))
     cfg = PseudoLabelConfig(target_percentage=0.30)
     # base F1 0.2; two improving rounds (0.5, 0.7); then 0.6 stops the loop
-    out = dds(train, pool, ClassifierSpec(), cfg,
-              trainer=lambda ds: ConstantModel(),
-              score_fn=scripted_score_fn([0.2, 0.5, 0.7, 0.6]))
+    script_dds(monkeypatch, [0.2, 0.5, 0.7, 0.6])
+    out = dds(train, pool, ClassifierSpec(), cfg)
     assert [e["selected"] for e in out.log] == [30, 21, 15]
     assert [e["accepted"] for e in out.log] == [True, True, False]
     assert out.pseudo_count == 51
@@ -140,34 +144,30 @@ def test_dds_selection_counts_and_acceptance():
     assert accepted_f1 == sorted(accepted_f1) and len(set(accepted_f1)) == len(accepted_f1)
 
 
-def test_dds_immediate_stop_keeps_train_unchanged():
+def test_dds_immediate_stop_keeps_train_unchanged(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(10).reshape(10, 1))
-    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(),
-              trainer=lambda ds: ConstantModel(),
-              score_fn=scripted_score_fn([0.5, 0.5]))  # not strictly better
+    script_dds(monkeypatch, [0.5, 0.5])  # not strictly better
+    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig())
     assert out.pseudo_count == 0
     assert out.enhanced.equals(train.take(np.arange(train.n_rows)))
     assert len(out.log) == 1 and not out.log[0]["accepted"]
 
 
-def test_dds_max_iterations_cap():
+def test_dds_max_iterations_cap(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(200).reshape(200, 1))
     cfg = PseudoLabelConfig(target_percentage=0.01, max_iterations=5)
-    rising = iter([0.1 + 0.01 * i for i in range(1000)])
-    out = dds(train, pool, ClassifierSpec(), cfg,
-              trainer=lambda ds: ConstantModel(),
-              score_fn=lambda model, ds: next(rising))
+    script_dds(monkeypatch, [0.1 + 0.01 * i for i in range(1000)])
+    out = dds(train, pool, ClassifierSpec(), cfg)
     assert len(out.log) == 5
 
 
-def test_dds_confidence_ties_resolve_to_original_order():
+def test_dds_confidence_ties_resolve_to_original_order(monkeypatch):
     train = small_train()
     pool = unlabeled(np.arange(10).reshape(10, 1))
-    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(target_percentage=0.30),
-              trainer=lambda ds: ConstantModel(),  # equal confidence everywhere
-              score_fn=scripted_score_fn([0.2, 0.9, 0.1]))
+    script_dds(monkeypatch, [0.2, 0.9, 0.1])  # ConstantModel: equal confidence everywhere
+    out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(target_percentage=0.30))
     first_batch = out.pseudo_indices[:3]
     assert list(first_batch) == [0, 1, 2]
 
@@ -194,30 +194,34 @@ def test_dds_real_run_pool_shrinks_and_is_deterministic():
 
 # ------------------------------------------------------------ select_strategy
 
-def rigged_outcome(train, name):
-    return SelfLearnOutcome(enhanced=train, strategy_used=name, pseudo_count=0)
+def rigged_strategy(name):
+    return lambda train, pool, spec, cfg: SelfLearnOutcome(
+        enhanced=train, strategy_used=name, pseudo_count=0)
 
 
-def test_select_strategy_rigged_scores_pick_dds():
+def rig_strategies(monkeypatch, holdout_f1s):
+    """KFULF and DDS return no-op outcomes; their holdout F1s are scripted in run order."""
+    monkeypatch.setattr(selflearn, "kfulf", rigged_strategy("KFULF"))
+    monkeypatch.setattr(selflearn, "dds", rigged_strategy("DDS"))
+    seq = iter(holdout_f1s)
+    monkeypatch.setattr(selflearn, "fit", lambda spec, ds: ConstantModel())
+    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(seq))
+
+
+def test_select_strategy_rigged_scores_pick_dds(monkeypatch):
     train = small_train()
     holdout = labeled([[0.5], [10.5]], [0, 1])
-    strategies = [("KFULF", lambda: rigged_outcome(train, "KFULF")),
-                  ("DDS", lambda: rigged_outcome(train, "DDS"))]
-    scores = {"KFULF": 0.5, "DDS": 0.6}
-    out = select_strategy(train, None, holdout, ClassifierSpec(), PseudoLabelConfig(),
-                          strategies=strategies,
-                          score_fn=lambda o: scores[o.strategy_used])
+    rig_strategies(monkeypatch, [0.5, 0.6])
+    out = select_strategy(train, None, holdout, ClassifierSpec(), PseudoLabelConfig())
     assert out.strategy_used == "DDS"
     assert out.selection_f1 == {"KFULF": 0.5, "DDS": 0.6}
 
 
-def test_select_strategy_tie_goes_to_kfulf():
+def test_select_strategy_tie_goes_to_kfulf(monkeypatch):
     train = small_train()
     holdout = labeled([[0.5], [10.5]], [0, 1])
-    strategies = [("KFULF", lambda: rigged_outcome(train, "KFULF")),
-                  ("DDS", lambda: rigged_outcome(train, "DDS"))]
-    out = select_strategy(train, None, holdout, ClassifierSpec(), PseudoLabelConfig(),
-                          strategies=strategies, score_fn=lambda o: 0.7)
+    rig_strategies(monkeypatch, [0.7, 0.7])
+    out = select_strategy(train, None, holdout, ClassifierSpec(), PseudoLabelConfig())
     assert out.strategy_used == "KFULF"
 
 
@@ -240,3 +244,20 @@ def test_select_strategy_winner_scores_at_least_loser():
                           ClassifierSpec(kind="decision-tree", max_depth=6),
                           PseudoLabelConfig(k_folds=4))
     assert out.selection_f1[out.strategy_used] == max(out.selection_f1.values())
+
+
+def test_select_strategy_fits_only_through_the_module_fit(monkeypatch):
+    d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=4,
+                                     separation=2.0, noise_rate=0.1, seed=24)
+    train, rest = stratified_split(d, SplitSpec(mode="holdout", ratio=0.5, seed=24))
+    holdout, hidden = stratified_split(rest, SplitSpec(mode="holdout", ratio=0.4, seed=24))
+    pool = hidden.without_labels()
+    spec = ClassifierSpec(kind="decision-tree", max_depth=3)
+    cfg = PseudoLabelConfig(k_folds=4)
+    iterations = len(dds(train, pool, spec, cfg).log)
+    assert iterations > 1  # DDS accepted at least one round
+    fits = []
+    monkeypatch.setattr(selflearn, "fit", lambda s, ds: fits.append(ds.n_rows) or fit(s, ds))
+    select_strategy(train, pool, holdout, spec, cfg)
+    # KFULF's folds, DDS's base fit and rounds, then one scoring fit per strategy
+    assert len(fits) == cfg.k_folds + (1 + iterations) + 2

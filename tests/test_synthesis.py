@@ -241,13 +241,14 @@ class MarkerTechnique:
                        feature_names=list(train.feature_names))
 
 
-def marker_trainer(marker_to_model):
-    def trainer(aug):
+def fit_by_marker(monkeypatch, marker_to_model):
+    """Each race fit returns the model class of the marker in its training data."""
+    def marker_fit(spec, aug):
         for marker, model_cls in marker_to_model.items():
             if np.any(aug.features == marker):
                 return model_cls(aug.n_features)
         raise AssertionError("no marker found in training data")
-    return trainer
+    monkeypatch.setattr(synthesis, "fit", marker_fit)
 
 
 def small_dataset():
@@ -256,24 +257,22 @@ def small_dataset():
     return Dataset(features=X, labels=y)
 
 
-def test_meta_synthesize_picks_argmax_winner():
+def test_meta_synthesize_picks_argmax_winner(monkeypatch):
     d = small_dataset()
     # technique "bad" -> all-zeros model -> F1 0; "good" -> all-ones -> F1 > 0
     techniques = [MarkerTechnique("bad", 111.0), MarkerTechnique("good", 222.0)]
-    trainer = marker_trainer({111.0: AllZerosModel, 222.0: AllOnesModel})
-    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1),
-                          trainer=trainer)
+    fit_by_marker(monkeypatch, {111.0: AllZerosModel, 222.0: AllOnesModel})
+    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
     assert out.chosen_technique == "good"
     scores = dict(out.f1_scores)
     assert scores["good"] > scores["bad"]
 
 
-def test_meta_synthesize_tie_goes_to_list_order():
+def test_meta_synthesize_tie_goes_to_list_order(monkeypatch):
     d = small_dataset()
     techniques = [MarkerTechnique("first", 111.0), MarkerTechnique("second", 222.0)]
-    trainer = marker_trainer({111.0: AllOnesModel, 222.0: AllOnesModel})
-    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1),
-                          trainer=trainer)
+    fit_by_marker(monkeypatch, {111.0: AllOnesModel, 222.0: AllOnesModel})
+    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
     assert out.chosen_technique == "first"
 
 
