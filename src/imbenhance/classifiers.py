@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 
@@ -67,10 +66,11 @@ def _best_split(X, codes, n_labels, rows, feature_indices):
     """Exhaustive Gini split search over midpoints of sorted unique values.
 
     ``rows`` is the node's ``(d, n)`` index matrix: row f lists the node's
-    sample ids in ascending order of ``X[:, f]``. All candidate features are
-    scored in one pass over the stacked ``(labels, k, n)`` prefix counts.
-    Ties in weighted child impurity go to the lower feature index, then the
-    lower threshold. Returns (feature, threshold) or None.
+    sample ids in ascending order of ``X[:, f]``. ``feature_indices`` are
+    ascending and distinct. All candidate features are scored in one pass
+    over the stacked ``(labels, k, n)`` prefix counts. Ties in weighted child
+    impurity go to the lower feature index, then the lower threshold.
+    Returns (feature, threshold) or None.
 
     numpy adds up to seven labels one after another whichever axis holds
     them, so for such label sets the impurities equal, bit for bit, those of
@@ -78,24 +78,35 @@ def _best_split(X, codes, n_labels, rows, feature_indices):
     """
     if len(feature_indices) == 0:
         return None
-    n = rows.shape[1]
-    order = rows[feature_indices]                    # (k, n)
+    d, n = rows.shape
+    order = rows if len(feature_indices) == d else rows[feature_indices]   # (k, n)
     xs = X[order, feature_indices[:, None]]
     # (labels, k, n): prefix count of each label along each feature's order
     cum = np.cumsum(codes[order] == np.arange(n_labels)[:, None, None], axis=2)
     n_left = np.arange(1, n)                         # a split after position i
-    n_right = n - n_left
+    n_right = n_left[::-1]
     left = cum[:, :, :-1]
     right = cum[:, :, -1:] - left
-    gini_left = 1.0 - np.sum((left / n_left) ** 2, axis=0)
-    gini_right = 1.0 - np.sum((right / n_right) ** 2, axis=0)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted = _gini(left, n_left)
+    weighted *= n_left
+    gini_right = _gini(right, n_right)
+    gini_right *= n_right
+    weighted += gini_right
+    weighted /= n
     weighted[xs[:, :-1] == xs[:, 1:]] = np.inf       # only between distinct values
     # first minimum in (feature, position) order -> lowest feature, lowest threshold
-    f, b = np.unravel_index(np.argmin(weighted), weighted.shape)
+    f, b = divmod(int(np.argmin(weighted)), n - 1)
     if weighted[f, b] == np.inf:
         return None
     return feature_indices[f], (xs[f, b] + xs[f, b + 1]) / 2.0
+
+
+def _gini(counts, sizes):
+    """Gini impurity of each child from its ``(labels, k, n - 1)`` label counts."""
+    shares = counts / sizes
+    shares *= shares
+    impurity = np.add.reduce(shares, axis=0)
+    return np.subtract(1.0, impurity, out=impurity)
 
 
 class DecisionTreeModel(TrainedModel):
@@ -235,17 +246,22 @@ class LogisticRegressionModel(TrainedModel):
         else:
             targets = [(y == c).astype(float) for c in self.label_set]
 
+        from scipy.special import expit   # loaded by logistic regression alone
+
         n, d = Z.shape
         t = np.column_stack(targets)
         self.weights_ = np.zeros((len(targets), d))
         self.biases_ = np.zeros(len(targets))
         for _ in range(self.n_iterations):
-            p = expit(Z @ self.weights_.T + self.biases_)  # (n, k)
-            self.weights_ -= self.learning_rate * ((p - t).T @ Z / n)
-            self.biases_ -= self.learning_rate * np.mean(p - t, axis=0)
+            r = expit(Z @ self.weights_.T + self.biases_)  # (n, k)
+            r -= t
+            self.weights_ -= self.learning_rate * (r.T @ Z / n)
+            self.biases_ -= self.learning_rate * (np.add.reduce(r, axis=0) / n)
         return self
 
     def _proba(self, X):
+        from scipy.special import expit
+
         Z = (X - self.mean_) / self.std_
         p = expit(Z @ self.weights_.T + self.biases_)
         if len(self.label_set) == 2:

@@ -351,13 +351,14 @@ CONFIG_KEYS = (
     ("hide_labels", "hide_labels", float, "fraction of labels hidden to form the pool"),
 )
 _PARSERS = {key: parser for key, _, parser, _ in CONFIG_KEYS}
+_PATHS = {key: path for key, path, _, _ in CONFIG_KEYS}
 
 
-def _parse_value(key: str, value: str, where: str = ""):
+def _parse_value(key: str, value: str):
     try:
         return _PARSERS[key](value)
     except ValueError as exc:
-        raise ValueError(f"{where}{key}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _replace_path(obj, path: str, value):
@@ -382,14 +383,18 @@ def _parse_lines(text: str, source) -> dict:
         if key in first_line:
             raise ValueError(f"{where}config key {key!r} already set on line {first_line[key]}")
         if value:
-            _parse_value(key, value, where)
+            try:
+                _replace_path(PipelineConfig(), _PATHS[key], _parse_value(key, value))
+            except ValueError as exc:
+                raise ValueError(f"{where}{exc}") from None
         mapping[key], first_line[key] = value, lineno
     return mapping
 
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment. Unknown or repeated
-    keys and values their key cannot parse are errors naming ``path:line``."""
+    keys, values their key cannot parse and values PipelineConfig refuses are
+    errors naming ``path:line``."""
     return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
 
 

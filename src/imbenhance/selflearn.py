@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit, predict, predict_proba
+from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
 from .data import Dataset, concat_datasets
 from .metrics import f1_score
 
@@ -45,6 +45,7 @@ class SelfLearnOutcome:
     pseudo_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     pseudo_labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     selection_f1: dict | None = None  # set by select_strategy
+    model: TrainedModel | None = None  # DDS: the fit on ``enhanced``, for select_strategy
 
 
 def _noop_outcome(train: Dataset, strategy: str, note: str) -> SelfLearnOutcome:
@@ -59,7 +60,7 @@ def _pseudo_dataset(unlabeled: Dataset, indices, labels) -> Dataset:
 
 
 def _outcome(train: Dataset, unlabeled: Dataset, strategy: str, indices: list,
-             labels: list, log: list) -> SelfLearnOutcome:
+             labels: list, log: list, model: TrainedModel | None = None) -> SelfLearnOutcome:
     """``train`` plus the pseudo-labeled pool rows ``indices``, appended in order."""
     pseudo_idx = np.array(indices, dtype=int)
     pseudo_lbl = np.array(labels, dtype=int)
@@ -67,7 +68,8 @@ def _outcome(train: Dataset, unlabeled: Dataset, strategy: str, indices: list,
         [train, _pseudo_dataset(unlabeled, pseudo_idx, pseudo_lbl)])
     return SelfLearnOutcome(enhanced=enhanced, strategy_used=strategy,
                             pseudo_count=len(pseudo_idx), log=log,
-                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl)
+                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl,
+                            model=model)
 
 
 def _f1(model, ds: Dataset) -> float:
@@ -132,7 +134,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
     if unlabeled is None or unlabeled.n_rows == 0:
         return _noop_outcome(train, "DDS", "empty unlabeled pool")
 
-    model = fit(classifier_spec, train)
+    model = kept_model = fit(classifier_spec, train)
     f1_base = _f1(model, train)
     pool_ids = np.arange(unlabeled.n_rows)
     accepted_idx: list[int] = []
@@ -165,11 +167,11 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
 
         if not accepted:
             break
-        f1_base = f1_new
+        f1_base, kept_model = f1_new, model
         accepted_idx.extend(pool_ids[top].tolist())
         accepted_labels.extend(np.asarray(y_sel).tolist())
         pool_ids = np.delete(pool_ids, top)
-    return _outcome(train, unlabeled, "DDS", accepted_idx, accepted_labels, log)
+    return _outcome(train, unlabeled, "DDS", accepted_idx, accepted_labels, log, kept_model)
 
 
 def select_strategy(train: Dataset, unlabeled: Dataset | None,
@@ -177,14 +179,16 @@ def select_strategy(train: Dataset, unlabeled: Dataset | None,
                     cfg: PseudoLabelConfig) -> SelfLearnOutcome:
     """Run KFULF and DDS, score each enhanced set on the holdout, keep the winner.
 
-    A fresh model is fitted on each strategy's enhanced dataset and scored by
-    F1 on ``selection_holdout``; ties go to KFULF.
+    Each strategy's enhanced dataset is scored by F1 on ``selection_holdout``
+    with a model fitted on it: a fresh fit for KFULF, and for DDS the fit it
+    already made on the same rows in the same order. Ties go to KFULF.
     """
     if selection_holdout.labels is None:
         raise ValueError("selection holdout must be labeled")
     outcomes = [kfulf(train, unlabeled, classifier_spec, cfg),
                 dds(train, unlabeled, classifier_spec, cfg)]
-    scores = [_f1(fit(classifier_spec, o.enhanced), selection_holdout) for o in outcomes]
+    scores = [_f1(o.model or fit(classifier_spec, o.enhanced), selection_holdout)
+              for o in outcomes]
     winner = outcomes[int(np.argmax(scores))]  # first max wins ties
     winner.selection_f1 = {o.strategy_used: float(s) for o, s in zip(outcomes, scores)}
     return winner

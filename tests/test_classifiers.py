@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import imbenhance
 from imbenhance.classifiers import (
     ClassifierSpec,
     DecisionTreeModel,
@@ -223,6 +228,59 @@ def test_logistic_multiclass_one_vs_rest():
     p = m.predict_proba(X)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
     assert np.array_equal(m.label_set[np.argmax(p, axis=1)], y)
+
+
+def reference_logistic_weights(X, y, learning_rate, n_iterations):
+    """The gradient step written out plainly: the residual formed twice and
+    the bias step through np.mean."""
+    label_set = np.unique(y)
+    std = X.std(axis=0)
+    Z = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    if len(label_set) == 2:
+        t = np.column_stack([(y == label_set[1]).astype(float)])
+    else:
+        t = np.column_stack([(y == c).astype(float) for c in label_set])
+    n, d = Z.shape
+    weights, biases = np.zeros((t.shape[1], d)), np.zeros(t.shape[1])
+    for _ in range(n_iterations):
+        p = expit(Z @ weights.T + biases)
+        weights -= learning_rate * ((p - t).T @ Z / n)
+        biases -= learning_rate * np.mean(p - t, axis=0)
+    return weights, biases
+
+
+@pytest.mark.parametrize("n, labels, seed", [(50, 2, 0), (333, 3, 1), (1200, 2, 2),
+                                             (2000, 3, 3)])
+def test_logistic_fit_matches_the_plain_gradient_step_bit_for_bit(n, labels, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4)) * [1.0, 3.0, 0.1, 10.0]
+    # separable labels keep the weights growing; with a finite optimum the
+    # descent contracts and can wash out a last-bit difference in the step
+    y = np.digitize(X[:, 0] + X[:, 2], [-0.5, 0.5][: labels - 1]) - (labels == 3)
+    m = LogisticRegressionModel(learning_rate=0.3, n_iterations=30).fit(X, y)
+    weights, biases = reference_logistic_weights(X, y, 0.3, 30)
+    assert np.array_equal(m.weights_, weights) and np.array_equal(m.biases_, biases)
+
+
+def test_scipy_loads_only_when_logistic_regression_runs():
+    # a fresh interpreter: this test module already imported scipy
+    src = Path(imbenhance.__file__).resolve().parent.parent
+    code = """
+import sys
+from imbenhance import ClassifierSpec, PipelineConfig, benchmark, fit, predict
+from imbenhance import generate_synthetic_benchmark
+data = generate_synthetic_benchmark(n=120, d=2, imbalance_ratio=4, noise_rate=0.1, seed=0)
+for kind in ("decision-tree", "random-forest"):
+    spec = ClassifierSpec(kind=kind, max_depth=3, n_estimators=3)
+    benchmark(data, PipelineConfig(classifier=spec, benchmark_folds=2, hide_labels=0.3))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+predict(fit(ClassifierSpec(kind="logistic-regression", n_iterations=3), data), data)
+assert "scipy.special" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_determinism_over_all_kinds():

@@ -144,7 +144,7 @@ def test_out_of_range_config_value_fails_before_the_run(small_csv, tmp_path, cap
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "o"
     assert run_cli("benchmark", str(small_csv), "--config", str(cfg), "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:1: {key} must ")
     assert not out.exists()
 
 

@@ -231,6 +231,19 @@ def test_config_bad_value_names_file_line_and_key(tmp_path):
         parse_config_file(p)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("max_depth = 0", "max_depth, n_estimators and n_iterations must be positive"),
+    ("classifier = svm", "unknown classifier kind 'svm'"),
+    ("k_folds = 1", "k_folds must be at least 2"),
+    ("strategy = both", "strategy must be auto, kfulf, or dds"),
+])
+def test_config_refused_value_names_file_and_line(tmp_path, line, message):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"seed = 3\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: {message}")):
+        parse_config_file(p)
+
+
 def test_config_repeated_key_names_both_lines(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("seed = 1\n# comment\nseed = 2\n")

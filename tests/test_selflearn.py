@@ -4,6 +4,7 @@ import pytest
 from imbenhance import selflearn
 from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit, predict
 from imbenhance.data import Dataset, generate_synthetic_benchmark, stratified_split, SplitSpec
+from imbenhance.metrics import f1_score
 from imbenhance.selflearn import (
     PseudoLabelConfig,
     SelfLearnOutcome,
@@ -246,18 +247,44 @@ def test_select_strategy_winner_scores_at_least_loser():
     assert out.selection_f1[out.strategy_used] == max(out.selection_f1.values())
 
 
-def test_select_strategy_fits_only_through_the_module_fit(monkeypatch):
+def accepting_dds_problem():
+    """A split on which a depth-3 DDS accepts at least one round."""
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=4,
                                      separation=2.0, noise_rate=0.1, seed=24)
     train, rest = stratified_split(d, SplitSpec(mode="holdout", ratio=0.5, seed=24))
     holdout, hidden = stratified_split(rest, SplitSpec(mode="holdout", ratio=0.4, seed=24))
-    pool = hidden.without_labels()
     spec = ClassifierSpec(kind="decision-tree", max_depth=3)
-    cfg = PseudoLabelConfig(k_folds=4)
+    return train, hidden.without_labels(), holdout, spec, PseudoLabelConfig(k_folds=4)
+
+
+def test_select_strategy_fits_only_through_the_module_fit(monkeypatch):
+    train, pool, holdout, spec, cfg = accepting_dds_problem()
     iterations = len(dds(train, pool, spec, cfg).log)
     assert iterations > 1  # DDS accepted at least one round
     fits = []
     monkeypatch.setattr(selflearn, "fit", lambda s, ds: fits.append(ds.n_rows) or fit(s, ds))
     select_strategy(train, pool, holdout, spec, cfg)
-    # KFULF's folds, DDS's base fit and rounds, then one scoring fit per strategy
-    assert len(fits) == cfg.k_folds + (1 + iterations) + 2
+    # KFULF's folds, DDS's base fit and rounds, then KFULF's scoring fit;
+    # DDS is scored with the model it fitted on its enhanced set
+    assert len(fits) == cfg.k_folds + (1 + iterations) + 1
+
+
+def test_dds_model_scores_as_a_fresh_fit_on_its_enhanced_set():
+    train, pool, holdout, spec, cfg = accepting_dds_problem()
+    out = dds(train, pool, spec, cfg)
+    assert out.pseudo_count > 0 and not out.log[-1]["accepted"]  # last fit is discarded
+    fresh = fit(spec, out.enhanced)
+    assert np.array_equal(out.model.predict_proba(holdout.features),
+                          fresh.predict_proba(holdout.features))
+    picked = select_strategy(train, pool, holdout, spec, cfg)
+    assert picked.selection_f1["DDS"] == f1_score(holdout.labels, predict(fresh, holdout))
+
+
+def test_dds_that_accepts_nothing_keeps_its_first_fit():
+    train = small_train()
+    out = dds(train, unlabeled([[0.5], [10.5]]), ClassifierSpec(kind="decision-tree"),
+              PseudoLabelConfig())
+    assert out.pseudo_count == 0
+    assert np.array_equal(out.model.predict_proba(train.features),
+                          fit(ClassifierSpec(kind="decision-tree"), train)
+                          .predict_proba(train.features))
