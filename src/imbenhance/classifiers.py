@@ -98,7 +98,11 @@ def _best_split(X, codes, n_labels, rows, feature_indices):
     f, b = divmod(int(np.argmin(weighted)), n - 1)
     if weighted[f, b] == np.inf:
         return None
-    return feature_indices[f], (xs[f, b] + xs[f, b + 1]) / 2.0
+    lo, hi = float(xs[f, b]), float(xs[f, b + 1])
+    mid = (lo + hi) / 2.0          # Python floats overflow to +-inf without a warning
+    # a midpoint that rounds onto hi (adjacent doubles) or overflows would
+    # send every row left; lo still separates the two values
+    return feature_indices[f], mid if lo <= mid < hi else lo
 
 
 def _gini(counts, sizes):

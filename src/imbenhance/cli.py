@@ -16,7 +16,7 @@ from .data import (
     load_csv,
     write_csv,
 )
-from .metrics import EVAL_CSV_COLUMNS, EvalReport, auc, confusion, ks_statistic, precision_recall_f1
+from .metrics import EVAL_CSV_COLUMNS, _eval_report
 from .pipeline import (
     CONFIG_KEYS,
     METRIC_NAMES,
@@ -187,12 +187,7 @@ def cmd_metrics(args) -> int:
         preds = np.array([int(float(r["prediction"])) for r in rows])
     else:
         preds = (scores >= args.threshold).astype(int)
-    counts = confusion(labels, preds)
-    precision, recall, f1 = precision_recall_f1(counts)
-    report = EvalReport(precision=precision, recall=recall, f1=f1,
-                        accuracy=counts.accuracy, auc=auc(labels, scores),
-                        ks=ks_statistic(labels, scores), counts=counts,
-                        threshold=args.threshold)
+    report = _eval_report(labels, scores, preds, args.threshold)
     print(report.to_text())
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

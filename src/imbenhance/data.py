@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,9 @@ class Dataset:
     ``features`` is float64 once preprocessed; straight from ``load_csv`` it is
     an object array of raw cell strings (missing cells are ``None``).
     ``labels`` is None for unlabeled pools. ``provenance`` tracks each row's
-    origin through the pipeline stages.
+    origin through the pipeline stages. Derived datasets (``take``,
+    ``with_provenance``, ``with_labels``, ``without_labels``) may share arrays
+    with their source, so treat a Dataset's arrays as read-only.
     """
 
     features: np.ndarray
@@ -85,44 +88,22 @@ class Dataset:
         return self.labels is not None
 
     def take(self, indices) -> "Dataset":
-        """Row subset (copy), preserving labels and provenance."""
+        """Row subset, preserving labels and provenance."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            features=self.features[idx].copy(),
-            labels=None if self.labels is None else self.labels[idx].copy(),
-            column_kinds=list(self.column_kinds),
-            provenance=self.provenance[idx].copy(),
-            feature_names=list(self.feature_names),
-        )
+        return replace(self, features=self.features[idx],
+                       labels=None if self.labels is None else self.labels[idx],
+                       provenance=self.provenance[idx])
 
     def with_provenance(self, tag: str) -> "Dataset":
         if tag not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {tag!r}")
-        return Dataset(
-            features=self.features.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            column_kinds=list(self.column_kinds),
-            provenance=np.array([tag] * self.n_rows, dtype=object),
-            feature_names=list(self.feature_names),
-        )
+        return replace(self, provenance=np.full(self.n_rows, tag, dtype=object))
 
     def with_labels(self, labels) -> "Dataset":
-        return Dataset(
-            features=self.features.copy(),
-            labels=np.asarray(labels),
-            column_kinds=list(self.column_kinds),
-            provenance=self.provenance.copy(),
-            feature_names=list(self.feature_names),
-        )
+        return replace(self, labels=labels)
 
     def without_labels(self) -> "Dataset":
-        return Dataset(
-            features=self.features.copy(),
-            labels=None,
-            column_kinds=list(self.column_kinds),
-            provenance=self.provenance.copy(),
-            feature_names=list(self.feature_names),
-        )
+        return replace(self, labels=None)
 
     def equals(self, other: "Dataset") -> bool:
         if self.feature_names != other.feature_names:
@@ -151,13 +132,9 @@ def concat_datasets(parts: list[Dataset]) -> Dataset:
     labeled = [p.is_labeled for p in parts]
     if any(labeled) and not all(labeled):
         raise ValueError("cannot concatenate labeled with unlabeled datasets")
-    return Dataset(
-        features=np.vstack([p.features for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]) if all(labeled) else None,
-        column_kinds=list(first.column_kinds),
-        provenance=np.concatenate([p.provenance for p in parts]),
-        feature_names=list(first.feature_names),
-    )
+    return replace(first, features=np.vstack([p.features for p in parts]),
+                   labels=np.concatenate([p.labels for p in parts]) if all(labeled) else None,
+                   provenance=np.concatenate([p.provenance for p in parts]))
 
 
 def load_csv(path, label_column: str | None = None, schema_hints: dict | None = None) -> Dataset:
@@ -258,13 +235,36 @@ def _mode_numeric(values: np.ndarray) -> float:
 
 
 def _mode_first_appearance(values) -> str:
-    counts, order = {}, {}
-    for v in values:
-        if v not in counts:
-            order[v] = len(order)
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts, key=lambda v: (counts[v], -order[v]))
-    return best
+    # most frequent value, ties broken by first appearance
+    counts = Counter(values)
+    return max(counts, key=counts.__getitem__)
+
+
+def _parse_column(col, numeric_input: bool):
+    """Numeric parse of one column: ``(values, missing, all_parsed)``.
+
+    Missing markers, unparseable and non-finite cells count as missing.
+    ``all_parsed`` is False when some cell that is not a missing marker does
+    not parse as a float (``inf`` parses).
+    """
+    if numeric_input:
+        values, all_parsed = col.astype(float), True
+    else:
+        cells = [math.nan if _is_missing_marker(c) else _try_float(c) for c in col]
+        values, all_parsed = np.array(cells, dtype=float), None not in cells  # None reads as nan
+    return values, ~np.isfinite(values), all_parsed
+
+
+def _category_strings(col) -> list:
+    """Raw cells as strings, with ``None`` for missing cells."""
+    return [None if _is_missing_marker(c) else str(c) for c in col]
+
+
+def _encode_categories(strings, fill, codes: dict) -> np.ndarray:
+    """Code each string, reading ``None`` as ``fill``. ``codes`` grows in place:
+    a string not in it yet gets the next code, so new codes follow first appearance."""
+    return np.array([codes.setdefault(fill if s is None else s, len(codes)) for s in strings],
+                    dtype=float)
 
 
 class Preprocessor:
@@ -272,135 +272,88 @@ class Preprocessor:
 
     Drops columns whose missing fraction exceeds ``missing_drop_threshold``
     (strictly), mode-fills the remaining gaps, and label-encodes non-numeric
-    columns in first-appearance order. ``transform`` applies the fitted drops,
-    fill values, and category codes to new data (the unlabeled pool); unseen
-    categories there get fresh codes past the fitted range, local to that call.
+    columns in first-appearance order. The fit keeps one plan entry per kept
+    column, ``(name, kind, fill, codes)``: ``fill`` is the numeric mode or the
+    modal category string, and ``codes`` maps categories to codes (None for a
+    column parsed as numbers). ``transform`` replays the plan on new data (the
+    unlabeled pool); unseen categories there get fresh codes past the fitted
+    range, local to that call.
     """
 
     def __init__(self, missing_drop_threshold: float = 0.5):
         if not 0 <= missing_drop_threshold <= 1:
             raise ValueError("missing_drop_threshold must be in [0, 1]")
         self.missing_drop_threshold = missing_drop_threshold
-        self.kept_names_: list[str] | None = None
-        self.kept_kinds_: list[str] | None = None
-        self.fill_values_: list = []          # per kept column: float or raw category string
-        self.category_codes_: list[dict | None] = []
+        self._plan: list[tuple[str, str, object, dict | None]] | None = None
 
     def fit_transform(self, raw: Dataset) -> Dataset:
-        n, d = raw.features.shape
         numeric_input = raw.features.dtype != object
-
-        kept_cols, kinds, out_columns = [], [], []
-        self.fill_values_, self.category_codes_ = [], []
-        for j in range(d):
+        plan, columns = [], []
+        for j, name in enumerate(raw.feature_names):
             col = raw.features[:, j]
-            kind = self._resolve_kind(col, raw.column_kinds[j], numeric_input)
+            kind = self._resolve_kind(raw.column_kinds[j], numeric_input)
+            if kind != "categorical":
+                values, missing, all_parsed = _parse_column(col, numeric_input)
+                if kind is None:  # undeclared raw column: numeric iff every cell parses
+                    kind = "numeric" if all_parsed else "categorical"
             if kind == "categorical":
-                missing = np.array([_is_missing_marker(c) for c in col])
-                if n > 0 and np.mean(missing) > self.missing_drop_threshold:
+                strings = _category_strings(col)
+                if self._drops(np.array([s is None for s in strings])):
                     continue
-                raw_strings = [str(col[i]) if not missing[i] else None for i in range(n)]
-                fill = _mode_first_appearance([s for s in raw_strings if s is not None])
-                codes: dict[str, int] = {}
-                encoded = np.empty(n, dtype=float)
-                for i in range(n):
-                    s = raw_strings[i] if raw_strings[i] is not None else fill
-                    if s not in codes:
-                        codes[s] = len(codes)
-                    encoded[i] = codes[s]
-                out_columns.append(encoded)
-                self.fill_values_.append(fill)
-                self.category_codes_.append(codes)
+                fill, codes = _mode_first_appearance(s for s in strings if s is not None), {}
+                columns.append(_encode_categories(strings, fill, codes))
                 kind = "categorical-encoded"
             else:
-                # numeric or already-encoded: parse, drop-check, mode-fill
-                values, missing = self._parse_column(col, numeric_input)
-                if n > 0 and np.mean(missing) > self.missing_drop_threshold:
-                    continue
                 present = values[~missing]
-                if present.size == 0:
+                if self._drops(missing) or present.size == 0:
                     continue  # nothing to fill from; treat as dropped
-                fill = _mode_numeric(present)
-                out_columns.append(np.where(missing, fill, values).astype(float))
-                self.fill_values_.append(fill)
-                self.category_codes_.append(None)
-            kept_cols.append(j)
-            kinds.append(kind)
-
-        if not kept_cols:
+                fill, codes = _mode_numeric(present), None
+                columns.append(np.where(missing, fill, values))
+            plan.append((name, kind, fill, codes))
+        if not plan:
             raise DegenerateDatasetError("preprocessing dropped every column")
-
-        self.kept_names_ = [raw.feature_names[j] for j in kept_cols]
-        self.kept_kinds_ = kinds
-        features = np.column_stack(out_columns)
-        labels = None if raw.labels is None else _encode_labels(raw.labels)
-        return Dataset(features=features, labels=labels, column_kinds=list(kinds),
-                       provenance=raw.provenance.copy(), feature_names=list(self.kept_names_))
+        self._plan = plan
+        return self._output(raw, columns)
 
     def transform(self, raw: Dataset) -> Dataset:
-        if self.kept_names_ is None:
+        if self._plan is None:
             raise ValueError("preprocessor is not fitted")
         name_to_col = {name: j for j, name in enumerate(raw.feature_names)}
-        for name in self.kept_names_:
+        for name, *_ in self._plan:
             if name not in name_to_col:
                 raise ValueError(f"column {name!r} missing from dataset to transform")
-        n = raw.n_rows
         numeric_input = raw.features.dtype != object
-        out_columns = []
-        for k, name in enumerate(self.kept_names_):
+        columns = []
+        for name, _, fill, codes in self._plan:
             col = raw.features[:, name_to_col[name]]
-            codes = self.category_codes_[k]
-            if codes is None or numeric_input:
-                values, missing = self._parse_column(col, numeric_input)
-                # encoded columns fall back to the fitted mode's code
-                fill = self.fill_values_[k] if codes is None \
-                    else float(codes[self.fill_values_[k]])
-                out_columns.append(np.where(missing, fill, values).astype(float))
+            if codes is not None and not numeric_input:
+                columns.append(_encode_categories(_category_strings(col), fill, dict(codes)))
             else:
-                local = dict(codes)  # unseen categories get codes local to this call
-                encoded = np.empty(n, dtype=float)
-                for i in range(n):
-                    s = str(col[i]) if not _is_missing_marker(col[i]) else self.fill_values_[k]
-                    if s not in local:
-                        local[s] = len(local)
-                    encoded[i] = local[s]
-                out_columns.append(encoded)
-        features = np.column_stack(out_columns)
-        labels = None if raw.labels is None else _encode_labels(raw.labels)
-        return Dataset(features=features, labels=labels, column_kinds=list(self.kept_kinds_),
-                       provenance=raw.provenance.copy(), feature_names=list(self.kept_names_))
+                # encoded columns given as numbers fill with the fitted mode's code
+                values, missing, _ = _parse_column(col, numeric_input)
+                columns.append(np.where(missing, fill if codes is None else codes[fill], values))
+        return self._output(raw, columns)
 
-    def _resolve_kind(self, col, declared: str, numeric_input: bool) -> str:
+    def _drops(self, missing: np.ndarray) -> bool:
+        return len(missing) > 0 and np.mean(missing) > self.missing_drop_threshold
+
+    def _output(self, raw: Dataset, columns: list) -> Dataset:
+        labels = None if raw.labels is None else _encode_labels(raw.labels)
+        return Dataset(features=np.column_stack(columns), labels=labels,
+                       column_kinds=[kind for _, kind, _, _ in self._plan],
+                       provenance=raw.provenance,
+                       feature_names=[name for name, *_ in self._plan])
+
+    @staticmethod
+    def _resolve_kind(declared: str, numeric_input: bool) -> str | None:
+        """The column's kind, or None when an undeclared raw column's cells decide."""
         if declared == "numeric":
             return "numeric"
         if declared == "categorical-encoded" or (declared == "categorical" and numeric_input):
             return "categorical-encoded"
         if declared == "categorical":
             return "categorical"
-        if numeric_input:
-            return "numeric"
-        # undeclared raw column: numeric iff every non-missing cell parses
-        for cell in col:
-            if not _is_missing_marker(cell) and _try_float(cell) is None:
-                return "categorical"
-        return "numeric"
-
-    @staticmethod
-    def _parse_column(col, numeric_input: bool):
-        """Numeric parse; unparseable and non-finite cells count as missing."""
-        if numeric_input:
-            values = col.astype(float)
-            return values, ~np.isfinite(values)
-        n = len(col)
-        values = np.zeros(n, dtype=float)
-        missing = np.zeros(n, dtype=bool)
-        for i, cell in enumerate(col):
-            v = None if _is_missing_marker(cell) else _try_float(cell)
-            if v is None or not math.isfinite(v):
-                missing[i] = True
-            else:
-                values[i] = v
-        return values, missing
+        return "numeric" if numeric_input else None
 
 
 def _encode_labels(raw_labels: np.ndarray) -> np.ndarray:
@@ -411,27 +364,16 @@ def _encode_labels(raw_labels: np.ndarray) -> np.ndarray:
             raise ValueError("labels must be integer-valued")
         return arr.astype(int)
     parsed = []
-    all_numeric = True
     for v in raw_labels:
         if _is_missing_marker(v):
             raise ValueError("missing label value")
         f = _try_float(v)
         if f is None:
-            all_numeric = False
-            break
+            return _encode_categories([str(v) for v in raw_labels], None, {}).astype(int)
         parsed.append(f)
-    if all_numeric:
-        if any(not float(f).is_integer() for f in parsed):
-            raise ValueError("numeric labels must be integer-valued")
-        return np.array([int(f) for f in parsed], dtype=int)
-    codes: dict[str, int] = {}
-    out = np.empty(len(raw_labels), dtype=int)
-    for i, v in enumerate(raw_labels):
-        s = str(v)
-        if s not in codes:
-            codes[s] = len(codes)
-        out[i] = codes[s]
-    return out
+    if any(not f.is_integer() for f in parsed):
+        raise ValueError("numeric labels must be integer-valued")
+    return np.array([int(f) for f in parsed], dtype=int)
 
 
 def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:
@@ -450,15 +392,8 @@ class ClassStats:
     majority_label: int
     imbalance_ratio: float  # majority_count / minority_count
 
-    def prior_of(self, label) -> float:
-        return self.priors[self.labels.index(label)]
-
     def count_of(self, label) -> int:
         return self.counts[self.labels.index(label)]
-
-    @property
-    def ratio_text(self) -> str:
-        return f"1:{self.imbalance_ratio:.2f}"
 
 
 def class_stats(d: Dataset) -> ClassStats:

@@ -42,12 +42,6 @@ def margins(m: TrainedModel, d: Dataset) -> np.ndarray:
     return part[:, -1] - part[:, -2]
 
 
-def retention_counts(priors, total: int) -> np.ndarray:
-    """How many filtered-out rows to put back per class: largest-remainder
-    rounding of prior * total, remainder ties to the smaller class id."""
-    return largest_remainder(priors, total)
-
-
 def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
                     out_margins: np.ndarray) -> Dataset:
     """Pick the per-class quota of filtered-out rows, highest margin first.
@@ -60,7 +54,8 @@ def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
         return filtered_out.with_provenance("retained")
     if len(out_margins) != filtered_out.n_rows:
         raise ValueError("margins do not match the filtered-out pool")
-    quotas = retention_counts(original_stats.priors, filtered_out.n_rows)
+    # largest-remainder rounding of prior * total, remainder ties to the smaller class id
+    quotas = largest_remainder(original_stats.priors, filtered_out.n_rows)
     picked: list[int] = []
     for quota, cls in zip(quotas, original_stats.labels):
         cls_idx = np.flatnonzero(filtered_out.labels == cls)

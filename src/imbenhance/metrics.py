@@ -136,11 +136,15 @@ def evaluate(m: TrainedModel, test: Dataset, threshold: float = 0.5) -> EvalRepo
     if len(labels) != 2 or labels[0] != 0 or labels[1] != 1:
         raise ValueError("evaluate requires a model with label set {0, 1}")
     scores = predict_proba(m, test)[:, 1]
-    preds = predict(m, test, threshold)
-    counts = confusion(test.labels, preds)
+    return _eval_report(test.labels, scores, predict(m, test, threshold), threshold)
+
+
+def _eval_report(labels, scores, predictions, threshold: float) -> EvalReport:
+    """Confusion metrics of the predictions; AUC and KS of the scores."""
+    counts = confusion(labels, predictions)
     precision, recall, f1 = precision_recall_f1(counts)
     return EvalReport(precision=precision, recall=recall, f1=f1,
                       accuracy=counts.accuracy,
-                      auc=auc(test.labels, scores),
-                      ks=ks_statistic(test.labels, scores),
+                      auc=auc(labels, scores),
+                      ks=ks_statistic(labels, scores),
                       counts=counts, threshold=threshold)

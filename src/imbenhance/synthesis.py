@@ -4,13 +4,21 @@ generators, and an F1-driven race that picks the best technique."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict
-from .data import Dataset, SplitSpec, class_stats, concat_datasets, load_csv, stratified_split
+from .data import (
+    Dataset,
+    SplitSpec,
+    _parse_column,
+    class_stats,
+    concat_datasets,
+    load_csv,
+    stratified_split,
+)
 from .metrics import f1_score
 
 # Elements of one block's difference tensor in SMOTE's neighbour search (1 MB).
@@ -35,11 +43,8 @@ def _rows_needed(minority_count: int, majority_count: int, target_ratio: float) 
 
 
 def _as_synthetic(train: Dataset, rows: np.ndarray, minority_label: int) -> Dataset:
-    return Dataset(features=rows,
-                   labels=np.full(len(rows), minority_label, dtype=int),
-                   column_kinds=list(train.column_kinds),
-                   provenance=np.array(["synthetic"] * len(rows), dtype=object),
-                   feature_names=list(train.feature_names))
+    return replace(train, features=rows, labels=np.full(len(rows), minority_label, dtype=int),
+                   provenance=np.full(len(rows), "synthetic", dtype=object))
 
 
 def random_oversample(train: Dataset, target_ratio: float = 1.0, seed: int = 42) -> Dataset:
@@ -119,8 +124,9 @@ class ReplayFileTechnique:
     """Reads pre-generated synthetic rows from CSV, so generators trained
     elsewhere (e.g. a tabular GAN) can compete in the F1 race.
 
-    The file must carry every feature column of the training data; extra
-    columns are ignored. All rows are tagged synthetic with the minority label.
+    The file must carry every feature column of the training data, each cell
+    a finite number; extra columns are ignored. All rows are tagged synthetic
+    with the minority label.
     """
 
     def __init__(self, path):
@@ -135,15 +141,13 @@ class ReplayFileTechnique:
             if name not in name_to_col:
                 raise ValueError(f"replay file {self.path} lacks column {name!r}")
             col = raw.features[:, name_to_col[name]]
-            parsed = np.empty(len(col))
-            for i, cell in enumerate(col):
-                if cell is None:
-                    raise ValueError(f"replay file {self.path}: missing value in {name!r}")
-                parsed[i] = float(cell)
-            cols.append(parsed)
+            values, missing, _ = _parse_column(col, numeric_input=False)
+            if missing.any():
+                i = int(np.argmax(missing))
+                what = "missing value" if col[i] is None else f"{col[i]!r} is not a finite number"
+                raise ValueError(f"replay file {self.path}: column {name!r}, line {i + 2}: {what}")
+            cols.append(values)
         rows = np.column_stack(cols) if cols else np.empty((raw.n_rows, 0))
-        if not np.all(np.isfinite(rows)):
-            raise ValueError(f"replay file {self.path}: non-finite value")
         minority, _, _ = _minority_info(train)
         return _as_synthetic(train, rows, minority)
 

@@ -25,6 +25,7 @@ from imbenhance.data import (
     SplitSpec,
     class_stats,
     generate_synthetic_benchmark,
+    largest_remainder,
     load_csv,
     preprocess,
     stratified_split,
@@ -34,7 +35,6 @@ from imbenhance.filtering import (
     filter_sweep,
     margins,
     retain_by_class,
-    retention_counts,
 )
 from imbenhance.metrics import auc, ks_statistic
 from imbenhance.pipeline import PipelineConfig, benchmark
@@ -172,7 +172,7 @@ def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
 
 def test_c04_filtering_invariants_and_blsd_retention():
     # exact BLSD arithmetic: priors (0.7748, 0.2252) over 1000 filtered-out rows
-    assert list(retention_counts((0.7748, 0.2252), 1000)) == [775, 225]
+    assert list(largest_remainder((0.7748, 0.2252), 1000)) == [775, 225]
     blsd_stats = ClassStats(labels=(0, 1), counts=(7748, 2252),
                             priors=(0.7748, 0.2252), minority_label=1,
                             majority_label=0, imbalance_ratio=7748 / 2252)
@@ -204,7 +204,7 @@ def test_c04_filtering_invariants_and_blsd_retention():
     assert np.all(np.sort(deltas)[::-1][: chosen.kept_count] >= out.chosen_threshold)
 
     out_pool = syn.augmented.take(np.flatnonzero(deltas < out.chosen_threshold))
-    quotas = retention_counts(stats.priors, out_pool.n_rows)
+    quotas = largest_remainder(stats.priors, out_pool.n_rows)
     for cls, quota in zip(stats.labels, quotas):
         pool_size = int(np.sum(out_pool.labels == cls))
         assert out.retained_counts.get(cls, 0) == min(quota, pool_size)

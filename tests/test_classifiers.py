@@ -318,6 +318,27 @@ def test_pinned_label_set_must_cover_the_labels():
         DecisionTreeModel().fit(np.zeros((3, 1)), np.array([0, 1, 1]), label_set=[0])
 
 
+
+_ONE_ULP_UP = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.3, 0.1 + 0.2),                                  # the midpoint rounds onto hi
+    (_ONE_ULP_UP, math.nextafter(_ONE_ULP_UP, 2.0)),   # adjacent doubles
+    (1.7e308, 1.75e308),                               # lo + hi overflows to inf
+    (-1.75e308, -1.7e308),                             # lo + hi overflows to -inf
+])
+def test_split_threshold_separates_values_whose_midpoint_is_not_between(lo, hi):
+    X = np.array([[lo], [hi], [lo], [hi]])
+    y = np.array([0, 1, 0, 1])
+    rows = np.argsort(X.T, axis=1, kind="stable")
+    feature, threshold = _best_split(X, y, 2, rows, np.array([0]))
+    assert feature == 0 and lo <= threshold < hi
+    tree = DecisionTreeModel().fit(X, y)
+    assert tree_depth(tree) == 1
+    assert list(predict(tree, X)) == [0, 1, 0, 1]
+
+
 # ------------------------------------------------- split search differential
 
 def _reference_best_split(X, codes, n_labels, feature_indices):
@@ -345,7 +366,9 @@ def _reference_best_split(X, codes, n_labels, feature_indices):
         b = int(np.argmin(weighted))
         if weighted[b] < best_impurity:
             best_impurity = weighted[b]
-            best = (f, (xs[boundaries[b]] + xs[boundaries[b] + 1]) / 2.0)
+            lo, hi = xs[boundaries[b]], xs[boundaries[b] + 1]
+            mid = (lo + hi) / 2.0
+            best = (f, mid if lo <= mid < hi else lo)  # a midpoint rounded onto hi splits nothing
     return best
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from imbenhance import data
 from imbenhance.data import (
     ClassStats,
     Dataset,
@@ -165,6 +168,51 @@ def test_load_csv_schema_hints_flow_into_preprocess(tmp_path):
     assert list(out.features[:, 0]) == [0.0, 1.0, 0.0]
 
 
+def test_undeclared_numeric_column_is_parsed_once(monkeypatch):
+    calls = []
+    real_try_float = data._try_float
+    monkeypatch.setattr(data, "_try_float", lambda cell: calls.append(cell) or real_try_float(cell))
+    X = np.array([[str(i % 7)] for i in range(50)], dtype=object)
+    out = preprocess(Dataset(features=X))
+    assert out.column_kinds == ["numeric"]
+    assert len(calls) == 50
+
+
+_RAW_CELLS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["inf", "-inf", "1e999", "", "NA", "nan", "NaN", " na ", None,
+                     "a", "b", " a", "A", "x y"]),
+)
+
+
+@st.composite
+def raw_tables(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    X = np.empty((n, d), dtype=object)
+    for j in range(d):
+        palette = draw(st.lists(_RAW_CELLS, min_size=1, max_size=4))
+        X[:, j] = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(["unknown", "numeric", "categorical",
+                                           "categorical-encoded"]), min_size=d, max_size=d))
+    labels = draw(st.none() | st.lists(st.sampled_from(["0", "1", "a"]), min_size=n,
+                                       max_size=n).map(lambda v: np.array(v, dtype=object)))
+    return Dataset(features=X, labels=labels, column_kinds=kinds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_tables(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_transform_of_the_fitted_table_equals_fit_transform(raw, threshold):
+    pre = Preprocessor(threshold)
+    try:
+        fitted = pre.fit_transform(raw)
+    except ValueError:  # every column dropped, or an all-missing categorical column kept
+        assume(False)
+    replayed = pre.transform(raw)
+    assert replayed.equals(fitted)
+
+
 # -------------------------------------------------------------- class_stats
 
 def test_class_stats_balanced():
@@ -179,8 +227,8 @@ def test_class_stats_zcd_shape():
     n, pos = 10_000, 1683
     d = make_labeled([[0.0]] * n, [1] * pos + [0] * (n - pos))
     s = class_stats(d)
-    assert s.ratio_text == "1:4.94"
-    assert abs(s.prior_of(1) - 0.1683) < 1e-12
+    assert f"1:{s.imbalance_ratio:.2f}" == "1:4.94"
+    assert abs(s.priors[s.labels.index(1)] - 0.1683) < 1e-12
 
 
 def test_class_stats_blsd_shape():
@@ -188,7 +236,7 @@ def test_class_stats_blsd_shape():
     pos = 2252
     d = make_labeled([[0.0]] * n, [1] * pos + [0] * (n - pos))
     s = class_stats(d)
-    assert s.ratio_text == "1:3.44"
+    assert f"1:{s.imbalance_ratio:.2f}" == "1:3.44"
 
 
 def test_class_stats_requires_labels():
@@ -267,7 +315,9 @@ def test_split_part_priors_close_to_whole():
     for part in stratified_split(d, SplitSpec(mode="k-fold", k=3, seed=0)):
         ps = class_stats(part)
         for lbl in (0, 1):
-            assert abs(ps.prior_of(lbl) - whole.prior_of(lbl)) <= 1.0 / part.n_rows + 1e-12
+            part_prior = ps.priors[ps.labels.index(lbl)]
+            whole_prior = whole.priors[whole.labels.index(lbl)]
+            assert abs(part_prior - whole_prior) <= 1.0 / part.n_rows + 1e-12
 
 
 def test_split_deterministic():

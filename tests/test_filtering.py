@@ -3,13 +3,18 @@ import pytest
 
 from imbenhance import filtering
 from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit
-from imbenhance.data import Dataset, SplitSpec, class_stats, generate_synthetic_benchmark
+from imbenhance.data import (
+    Dataset,
+    SplitSpec,
+    class_stats,
+    generate_synthetic_benchmark,
+    largest_remainder,
+)
 from imbenhance.filtering import (
     DEFAULT_THRESHOLD_GRID,
     filter_sweep,
     margins,
     retain_by_class,
-    retention_counts,
 )
 from imbenhance.synthesis import RandomOversampleTechnique, meta_synthesize
 
@@ -75,11 +80,11 @@ def test_margin_three_class_uses_second_highest():
 # --------------------------------------------------------- retention counts
 
 def test_retention_counts_blsd_priors():
-    assert list(retention_counts((0.7748, 0.2252), 1000)) == [775, 225]
+    assert list(largest_remainder((0.7748, 0.2252), 1000)) == [775, 225]
 
 
 def test_retention_counts_tiebreak():
-    assert list(retention_counts((0.5, 0.5), 3)) == [2, 1]
+    assert list(largest_remainder((0.5, 0.5), 3)) == [2, 1]
 
 
 def test_retain_by_class_shortfall_not_reassigned():

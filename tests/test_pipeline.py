@@ -1,3 +1,4 @@
+import copy
 import re
 from pathlib import Path
 
@@ -108,6 +109,32 @@ def test_supplied_pool_with_truth():
     assert result.pool_size == pool.n_rows
     if result.selflearn.pseudo_count:
         assert 0.0 <= result.pseudo_accuracy <= 1.0
+
+
+def _frozen_copy(d):
+    """A deep copy of ``d``, taken before ``d``'s arrays are made read-only."""
+    before = copy.deepcopy(d)
+    for array in (d.features, d.labels, d.provenance):
+        if array is not None:
+            array.flags.writeable = False
+    return before
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "benchmark"])
+def test_pipeline_leaves_its_input_datasets_unchanged(entry):
+    # derived Datasets share arrays with their source, so an in-place write
+    # anywhere in the stages would reach the caller's data
+    d = bench_data(n=400, seed=6)
+    train, hidden = stratified_split(d, SplitSpec(mode="holdout", ratio=0.7, seed=6))
+    pool = hidden.without_labels()
+    train_before, pool_before = _frozen_copy(train), _frozen_copy(pool)
+    cfg = quick_cfg(hide_labels=0.2)
+    if entry == "run_pipeline":
+        run_pipeline(train, pool, cfg, pool_truth=hidden.labels)
+    else:
+        benchmark(train, cfg, unlabeled=pool, pool_truth=hidden.labels)
+    assert train.equals(train_before)
+    assert pool.equals(pool_before)
 
 
 def test_stage_error_carries_stage_name():
