@@ -19,9 +19,11 @@ from .data import (
 from .metrics import EVAL_CSV_COLUMNS, _eval_report
 from .pipeline import (
     CONFIG_KEYS,
-    METRIC_NAMES,
     PipelineConfig,
     StageError,
+    _benchmark_summary,
+    _decision_lines,
+    _write_rows,
     benchmark,
     config_from_mapping,
     emit_report,
@@ -103,35 +105,15 @@ def _prepare_data(cfg: PipelineConfig):
     pool = truth = None
     if cfg.unlabeled_path:
         with open(cfg.unlabeled_path, newline="", encoding="utf-8") as fh:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            header = [h.strip() for h in next(csv.reader(fh), [])]
         label_col = cfg.label_column if cfg.label_column in header else None
         pool_raw = load_csv(cfg.unlabeled_path, label_column=label_col)
         pool_clean = pre.transform(pool_raw)
+        pool = pool_clean.without_labels()
         if pool_clean.labels is not None:
             # the pool file carried labels: keep them aside as hidden ground truth
             truth = np.array([mapping.get(int(v), -1) for v in pool_clean.labels])
-            pool = pool_clean.without_labels()
-        else:
-            pool = pool_clean
     return ds, pool, truth, mapping
-
-
-def _print_stage_summary(result):
-    for stage, ms in result.timings_ms.items():
-        print(f"{stage}: {ms:.1f} ms")
-    if result.synthesis is not None:
-        print(f"chosen technique: {result.synthesis.chosen_technique}")
-    if result.filtering is not None:
-        print(f"chosen threshold: {result.filtering.chosen_threshold}")
-    if result.selflearn is not None:
-        print(f"strategy: {result.selflearn.strategy_used}, "
-              f"pseudo-labeled rows: {result.selflearn.pseudo_count}")
-    if result.pseudo_accuracy is not None:
-        print(f"pseudo-label accuracy vs hidden truth: {result.pseudo_accuracy:.4f}")
-    for note in result.notes:
-        print(f"note: {note}")
-    print(f"rows: input {result.input_data.n_rows} -> augmented {result.aug.n_rows} "
-          f"-> filtered {result.filtered.n_rows} -> enhanced {result.enhanced.n_rows}")
 
 
 def cmd_enhance(args) -> int:
@@ -141,7 +123,10 @@ def cmd_enhance(args) -> int:
         print(f"label mapping (original -> canonical): {mapping}")
     result = run_pipeline(ds, pool, cfg, pool_truth=truth)
     emit_report(result, None, args.out, cfg)
-    _print_stage_summary(result)
+    for stage, ms in result.timings_ms.items():
+        print(f"{stage}: {ms:.1f} ms")
+    for line in _decision_lines(result):
+        print(line)
     print(f"report written to {args.out}")
     return 0
 
@@ -151,12 +136,7 @@ def cmd_benchmark(args) -> int:
     ds, pool, truth, _ = _prepare_data(cfg)
     bench = benchmark(ds, cfg, unlabeled=pool, pool_truth=truth)
     emit_report(None, bench, args.out, cfg)
-    base, enh = bench.summary("baseline"), bench.summary("enhanced")
-    print(f"{'metric':<10} {'baseline':>18} {'enhanced':>18}")
-    for name in METRIC_NAMES:
-        bm, bs = base[name]
-        em, es = enh[name]
-        print(f"{name:<10} {bm:>10.4f}±{bs:.4f} {em:>10.4f}±{es:.4f}")
+    print(_benchmark_summary(bench), end="")
     print(f"report written to {args.out}")
     return 0
 
@@ -190,11 +170,7 @@ def cmd_metrics(args) -> int:
     report = _eval_report(labels, scores, preds, args.threshold)
     print(report.to_text())
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVAL_CSV_COLUMNS)
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in report.to_csv_row()])
+        _write_rows(args.out, EVAL_CSV_COLUMNS, [report.to_csv_row()])
     return 0
 
 

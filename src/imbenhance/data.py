@@ -277,7 +277,9 @@ class Preprocessor:
     modal category string, and ``codes`` maps categories to codes (None for a
     column parsed as numbers). ``transform`` replays the plan on new data (the
     unlabeled pool); unseen categories there get fresh codes past the fitted
-    range, local to that call.
+    range, local to that call. Labels are replayed the same way: string labels
+    keep their fitted codes, and where the fitted labels were integers the
+    labels to transform must be integers too.
     """
 
     def __init__(self, missing_drop_threshold: float = 0.5):
@@ -285,6 +287,7 @@ class Preprocessor:
             raise ValueError("missing_drop_threshold must be in [0, 1]")
         self.missing_drop_threshold = missing_drop_threshold
         self._plan: list[tuple[str, str, object, dict | None]] | None = None
+        self._label_codes: dict | None = None  # string-label codes; None for numbers
 
     def fit_transform(self, raw: Dataset) -> Dataset:
         numeric_input = raw.features.dtype != object
@@ -298,9 +301,10 @@ class Preprocessor:
                     kind = "numeric" if all_parsed else "categorical"
             if kind == "categorical":
                 strings = _category_strings(col)
-                if self._drops(np.array([s is None for s in strings])):
-                    continue
-                fill, codes = _mode_first_appearance(s for s in strings if s is not None), {}
+                present = [s for s in strings if s is not None]
+                if self._drops(np.array([s is None for s in strings])) or not present:
+                    continue  # nothing to fill from; treat as dropped
+                fill, codes = _mode_first_appearance(present), {}
                 columns.append(_encode_categories(strings, fill, codes))
                 kind = "categorical-encoded"
             else:
@@ -313,7 +317,8 @@ class Preprocessor:
         if not plan:
             raise DegenerateDatasetError("preprocessing dropped every column")
         self._plan = plan
-        return self._output(raw, columns)
+        self._label_codes = None if raw.labels is None or _numeric_labels(raw.labels) else {}
+        return self._output(raw, columns, self._label_codes)
 
     def transform(self, raw: Dataset) -> Dataset:
         if self._plan is None:
@@ -332,13 +337,14 @@ class Preprocessor:
                 # encoded columns given as numbers fill with the fitted mode's code
                 values, missing, _ = _parse_column(col, numeric_input)
                 columns.append(np.where(missing, fill if codes is None else codes[fill], values))
-        return self._output(raw, columns)
+        codes = None if self._label_codes is None else dict(self._label_codes)
+        return self._output(raw, columns, codes)
 
     def _drops(self, missing: np.ndarray) -> bool:
         return len(missing) > 0 and np.mean(missing) > self.missing_drop_threshold
 
-    def _output(self, raw: Dataset, columns: list) -> Dataset:
-        labels = None if raw.labels is None else _encode_labels(raw.labels)
+    def _output(self, raw: Dataset, columns: list, label_codes: dict | None) -> Dataset:
+        labels = None if raw.labels is None else _encode_labels(raw.labels, label_codes)
         return Dataset(features=np.column_stack(columns), labels=labels,
                        column_kinds=[kind for _, kind, _, _ in self._plan],
                        provenance=raw.provenance,
@@ -356,24 +362,33 @@ class Preprocessor:
         return "numeric" if numeric_input else None
 
 
-def _encode_labels(raw_labels: np.ndarray) -> np.ndarray:
-    """Labels as ints; non-numeric label values get first-appearance codes."""
-    if raw_labels.dtype != object:
+def _numeric_labels(raw_labels: np.ndarray) -> bool:
+    """Whether labels are read as numbers: every cell parses as a float.
+    ``_encode_labels`` reports a missing cell either way."""
+    return raw_labels.dtype != object or all(_try_float(v) is not None for v in raw_labels)
+
+
+def _encode_labels(raw_labels: np.ndarray, codes: dict | None) -> np.ndarray:
+    """Labels as ints. With ``codes``, every label is coded as a string through
+    ``_encode_categories`` (a label not in ``codes`` gets the next code);
+    without, every label must be integer-valued. Rows count from 1."""
+    if raw_labels.dtype != object and codes is None:
         arr = np.asarray(raw_labels)
         if not np.all(arr == np.floor(np.asarray(arr, dtype=float))):
             raise ValueError("labels must be integer-valued")
         return arr.astype(int)
-    parsed = []
-    for v in raw_labels:
+    for i, v in enumerate(raw_labels, 1):
         if _is_missing_marker(v):
-            raise ValueError("missing label value")
+            raise ValueError(f"missing label value in row {i}")
+    if codes is not None:
+        return _encode_categories([str(v) for v in raw_labels], None, codes).astype(int)
+    parsed = []
+    for i, v in enumerate(raw_labels, 1):
         f = _try_float(v)
-        if f is None:
-            return _encode_categories([str(v) for v in raw_labels], None, {}).astype(int)
-        parsed.append(f)
-    if any(not f.is_integer() for f in parsed):
-        raise ValueError("numeric labels must be integer-valued")
-    return np.array([int(f) for f in parsed], dtype=int)
+        if f is None or not f.is_integer():
+            raise ValueError(f"numeric labels must be integer-valued, got {v!r} in row {i}")
+        parsed.append(int(f))
+    return np.array(parsed, dtype=int)
 
 
 def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:

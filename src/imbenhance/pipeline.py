@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -24,7 +25,14 @@ from .data import (
 )
 from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, filter_sweep
 from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate
-from .selflearn import PseudoLabelConfig, SelfLearnOutcome, dds, kfulf, select_strategy
+from .selflearn import (
+    LOG_COLUMNS,
+    PseudoLabelConfig,
+    SelfLearnOutcome,
+    dds,
+    kfulf,
+    select_strategy,
+)
 from .synthesis import (
     RandomOversampleTechnique,
     ReplayFileTechnique,
@@ -33,7 +41,7 @@ from .synthesis import (
     meta_synthesize,
 )
 
-METRIC_NAMES = ["precision", "recall", "f1", "accuracy", "auc", "ks"]
+METRIC_NAMES = EVAL_CSV_COLUMNS[:6]
 
 
 class StageError(RuntimeError):
@@ -110,9 +118,9 @@ class EnhancementResult:
     filtered: Dataset
     input_data: Dataset          # the labeled data the pipeline actually ran on
     input_stats: ClassStats
-    synthesis: SynthesisOutcome | None
-    filtering: FilterOutcome | None
-    selflearn: SelfLearnOutcome | None
+    synthesis: SynthesisOutcome | None = None    # None where the stage did not run
+    filtering: FilterOutcome | None = None
+    selflearn: SelfLearnOutcome | None = None
     timings_ms: dict = field(default_factory=dict)
     pool_size: int = 0
     pseudo_accuracy: float | None = None    # vs hidden ground truth, when known
@@ -128,13 +136,30 @@ def _validate_pipeline_input(d: Dataset):
         raise ValueError(f"pipeline input labels must be exactly {{0, 1}}, got {sorted(present)}")
 
 
-def _stage(name, fn):
+@contextmanager
+def _stage(name: str, timings: dict):
+    """Time the block into ``timings[name]`` (ms); an exception in it becomes a StageError."""
     start = time.perf_counter()
     try:
-        out = fn()
+        yield
     except Exception as exc:
         raise StageError(name, exc) from exc
-    return out, (time.perf_counter() - start) * 1000.0
+    timings[name] = (time.perf_counter() - start) * 1000.0
+
+
+def _pool_accuracies(classifier: ClassifierSpec, sl_train: Dataset, pool: Dataset,
+                     truth: np.ndarray, outcome: SelfLearnOutcome):
+    """Accuracy against the known ``truth`` (-1 where unknown) of the pseudo-labels
+    (None when no pseudo-labeled row has known truth) and of a model fitted on
+    ``sl_train`` predicting the pool."""
+    pseudo_truth = truth[outcome.pseudo_indices]
+    sel = pseudo_truth >= 0
+    pseudo_acc = None
+    if np.any(sel):
+        pseudo_acc = float(np.mean(outcome.pseudo_labels[sel] == pseudo_truth[sel]))
+    known = truth >= 0
+    base_preds = predict(fit(classifier, sl_train), pool.take(np.flatnonzero(known)))
+    return pseudo_acc, float(np.mean(base_preds == truth[known]))
 
 
 def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
@@ -148,9 +173,6 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
     labels for an externally provided pool, -1 where unknown.
     """
     _validate_pipeline_input(input_ds)
-    timings = {}
-    notes = []
-
     work = input_ds
     pool = unlabeled
     truth = None
@@ -172,85 +194,60 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
             pool = concat_datasets([hidden.without_labels(), pool])
             truth = np.concatenate([hidden_truth, truth])
 
-    input_stats = class_stats(work)
+    result = EnhancementResult(enhanced=work, aug=work, filtered=work, input_data=work,
+                               input_stats=class_stats(work),
+                               pool_size=0 if pool is None else pool.n_rows)
 
-    # --- stage 1: synthesis -------------------------------------------------
-    def synthesis_stage():
-        if cfg.disable_synthesis:
-            return None, work
-        out = meta_synthesize(work, cfg.build_techniques(), cfg.classifier,
-                              SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio,
-                                        seed=cfg.seed))
-        return out, out.augmented
+    with _stage("synthesis", result.timings_ms):
+        if not cfg.disable_synthesis:
+            result.synthesis = meta_synthesize(
+                work, cfg.build_techniques(), cfg.classifier,
+                SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+            result.aug = result.synthesis.augmented
+    result.filtered = result.aug
 
-    (syn_outcome, aug), timings["synthesis"] = _stage("synthesis", synthesis_stage)
+    with _stage("filtering", result.timings_ms):
+        if not cfg.disable_filtering:
+            if result.synthesis is not None:
+                model, mis = result.synthesis.model, result.synthesis.misclassified
+            else:
+                # synthesis was skipped: recreate its partition to get a model and
+                # a misclassified set to score the sweep against
+                tr, val = stratified_split(work, SplitSpec(
+                    mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+                model = fit(cfg.classifier, tr)
+                preds = predict(model, val, threshold=0.5)
+                mis = val.take(np.flatnonzero(preds != val.labels))
+            if mis.n_rows == 0:
+                result.notes.append(
+                    "filtering skipped: no misclassified validation rows to score against")
+            else:
+                result.filtering = filter_sweep(
+                    result.aug, mis, model, cfg.classifier, thresholds=cfg.threshold_grid,
+                    original_stats=result.input_stats, retention=cfg.retention)
+                result.filtered = result.filtering.filtered
+    result.enhanced = result.filtered
 
-    # --- stage 2: filtering -------------------------------------------------
-    def filtering_stage():
-        if cfg.disable_filtering:
-            return None, aug
-        if syn_outcome is not None:
-            model, mis = syn_outcome.model, syn_outcome.misclassified
-        else:
-            # synthesis was skipped: recreate its partition to get a model and
-            # a misclassified set to score the sweep against
-            tr, val = stratified_split(work, SplitSpec(
-                mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
-            model = fit(cfg.classifier, tr)
-            preds = predict(model, val, threshold=0.5)
-            mis = val.take(np.flatnonzero(preds != val.labels))
-        if mis.n_rows == 0:
-            notes.append("filtering skipped: no misclassified validation rows to score against")
-            return None, aug
-        out = filter_sweep(aug, mis, model, cfg.classifier,
-                           thresholds=cfg.threshold_grid, original_stats=input_stats,
-                           retention=cfg.retention)
-        return out, out.filtered
-
-    (filt_outcome, filtered), timings["filtering"] = _stage("filtering", filtering_stage)
-
-    # --- stage 3: self-learning ----------------------------------------------
-    def selflearn_stage():
+    with _stage("self-learning", result.timings_ms):
         if cfg.disable_selflearning:
-            return None, filtered, None, None
-        if pool is None or pool.n_rows == 0:
-            notes.append("self-learning skipped: empty unlabeled pool")
-            return None, filtered, None, None
-        if cfg.strategy == "auto":
-            sl_train, holdout = stratified_split(filtered, SplitSpec(
+            pass
+        elif pool is None or pool.n_rows == 0:
+            result.notes.append("self-learning skipped: empty unlabeled pool")
+        elif cfg.strategy == "auto":
+            sl_train, holdout = stratified_split(result.filtered, SplitSpec(
                 mode="holdout", ratio=0.8, seed=cfg.seed))
-            outcome = select_strategy(sl_train, pool, holdout, cfg.classifier, cfg.pseudo)
-            final = concat_datasets([outcome.enhanced, holdout])
+            result.selflearn = select_strategy(sl_train, pool, holdout, cfg.classifier,
+                                               cfg.pseudo)
+            result.enhanced = concat_datasets([result.selflearn.enhanced, holdout])
         else:
-            sl_train = filtered
+            sl_train = result.filtered
             runner = kfulf if cfg.strategy == "kfulf" else dds
-            outcome = runner(sl_train, pool, cfg.classifier, cfg.pseudo)
-            final = outcome.enhanced
-        pseudo_acc = base_acc = None
-        if truth is not None and np.any(truth >= 0):
-            known = truth >= 0
-            if outcome.pseudo_count:
-                sel = truth[outcome.pseudo_indices] >= 0
-                if np.any(sel):
-                    pseudo_acc = float(np.mean(
-                        outcome.pseudo_labels[sel]
-                        == truth[outcome.pseudo_indices][sel]))
-            base_model = fit(cfg.classifier, sl_train)
-            base_preds = predict(base_model, pool.take(np.flatnonzero(known)))
-            base_acc = float(np.mean(base_preds == truth[known]))
-        return outcome, final, pseudo_acc, base_acc
-
-    (sl_outcome, enhanced, pseudo_acc, base_acc), timings["self-learning"] = _stage(
-        "self-learning", selflearn_stage)
-
-    return EnhancementResult(enhanced=enhanced, aug=aug, filtered=filtered,
-                             input_data=work,
-                             input_stats=input_stats, synthesis=syn_outcome,
-                             filtering=filt_outcome, selflearn=sl_outcome,
-                             timings_ms=timings,
-                             pool_size=0 if pool is None else pool.n_rows,
-                             pseudo_accuracy=pseudo_acc, base_pool_accuracy=base_acc,
-                             notes=notes)
+            result.selflearn = runner(sl_train, pool, cfg.classifier, cfg.pseudo)
+            result.enhanced = result.selflearn.enhanced
+        if result.selflearn is not None and np.any(truth >= 0):
+            result.pseudo_accuracy, result.base_pool_accuracy = _pool_accuracies(
+                cfg.classifier, sl_train, pool, truth, result.selflearn)
+    return result
 
 
 @dataclass
@@ -265,12 +262,13 @@ class BenchmarkResult:
     def summary(self, which: str) -> dict:
         """metric -> (mean, sample std) across folds."""
         reports = self.baseline if which == "baseline" else self.enhanced
-        table = {}
-        for name in METRIC_NAMES:
-            vals = np.array([getattr(r, name) for r in reports])
-            std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-            table[name] = (float(np.mean(vals)), std)
-        return table
+        return {name: _mean_std([getattr(r, name) for r in reports]) for name in METRIC_NAMES}
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (0.0 for a single value)."""
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std
 
 
 def benchmark(input_ds: Dataset, cfg: PipelineConfig,
@@ -461,8 +459,8 @@ def _distribution_summary(name: str, d: Dataset) -> str:
     return "\n".join(lines)
 
 
-def _write_rows(path: Path, header: list, rows: list):
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def _write_rows(path, header: list, rows: list):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -472,12 +470,42 @@ def _write_rows(path: Path, header: list, rows: list):
 def _report_rows(reports: list[EvalReport]) -> list:
     rows = [[f"fold{i}"] + r.to_csv_row() for i, r in enumerate(reports)]
     if reports:
-        cols = list(zip(*(r.to_csv_row() for r in reports)))
-        means = [float(np.mean(c)) for c in cols]
-        stds = [float(np.std(c, ddof=1)) if len(reports) > 1 else 0.0 for c in cols]
-        rows.append(["mean"] + means)
-        rows.append(["std"] + stds)
+        columns = zip(*(r.to_csv_row() for r in reports))
+        means, stds = zip(*(_mean_std(c) for c in columns))
+        rows += [["mean", *means], ["std", *stds]]
     return rows
+
+
+def _decision_lines(result: EnhancementResult) -> list:
+    """What each stage chose, as the closing lines of summary.txt."""
+    lines = []
+    if result.synthesis is not None:
+        lines.append(f"chosen_technique = {result.synthesis.chosen_technique}")
+    if result.filtering is not None:
+        lines.append(f"chosen_threshold = {result.filtering.chosen_threshold}")
+        lines.append(f"retained_counts = {result.filtering.retained_counts}")
+    if result.selflearn is not None:
+        lines.append(f"strategy_used = {result.selflearn.strategy_used}")
+        lines.append(f"pseudo_count = {result.selflearn.pseudo_count}")
+        if result.selflearn.selection_f1:
+            lines.append(f"selection_f1 = {result.selflearn.selection_f1}")
+    if result.pseudo_accuracy is not None:
+        lines.append(f"pseudo_accuracy = {result.pseudo_accuracy:.6f}")
+    if result.base_pool_accuracy is not None:
+        lines.append(f"base_pool_accuracy = {result.base_pool_accuracy:.6f}")
+    lines += [f"note = {note}" for note in result.notes]
+    return lines
+
+
+def _benchmark_summary(reports: BenchmarkResult) -> str:
+    """The text of benchmark_summary.txt: mean±std per metric, before vs after."""
+    lines = ["metric, baseline_mean±std, enhanced_mean±std"]
+    base, enh = reports.summary("baseline"), reports.summary("enhanced")
+    for name in METRIC_NAMES:
+        bm, bs = base[name]
+        em, es = enh[name]
+        lines.append(f"{name}, {bm:.4f}±{bs:.4f}, {em:.4f}±{es:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | None,
@@ -520,38 +548,15 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
 
         log_rows = []
         if result.selflearn is not None:
-            for e in result.selflearn.log:
-                log_rows.append([result.selflearn.strategy_used, e.get("event", ""),
-                                 e.get("fold", e.get("iteration", "")),
-                                 e.get("pool_size", ""), e.get("selected", ""),
-                                 e.get("tested", ""), e.get("kept", ""),
-                                 e.get("f1_base", ""), e.get("f1_new", ""),
-                                 e.get("accepted", "")])
-        _write_rows(record(out / "selflearn_log.csv"),
-                    ["strategy", "event", "index", "pool_size", "selected",
-                     "tested", "kept", "f1_base", "f1_new", "accepted"],
-                    log_rows)
+            log_rows = [[result.selflearn.strategy_used] + [e.get(c, "") for c in LOG_COLUMNS]
+                        for e in result.selflearn.log]
+        _write_rows(record(out / "selflearn_log.csv"), ["strategy", *LOG_COLUMNS], log_rows)
 
         lines = [_distribution_summary("input", result.input_data)]
         lines.append(_distribution_summary("augmented", result.aug))
         lines.append(_distribution_summary("filtered", result.filtered))
         lines.append(_distribution_summary("enhanced", result.enhanced))
-        if result.synthesis is not None:
-            lines.append(f"chosen_technique = {result.synthesis.chosen_technique}")
-        if result.filtering is not None:
-            lines.append(f"chosen_threshold = {result.filtering.chosen_threshold}")
-            lines.append(f"retained_counts = {result.filtering.retained_counts}")
-        if result.selflearn is not None:
-            lines.append(f"strategy_used = {result.selflearn.strategy_used}")
-            lines.append(f"pseudo_count = {result.selflearn.pseudo_count}")
-            if result.selflearn.selection_f1:
-                lines.append(f"selection_f1 = {result.selflearn.selection_f1}")
-        if result.pseudo_accuracy is not None:
-            lines.append(f"pseudo_accuracy = {result.pseudo_accuracy:.6f}")
-        if result.base_pool_accuracy is not None:
-            lines.append(f"base_pool_accuracy = {result.base_pool_accuracy:.6f}")
-        for note in result.notes:
-            lines.append(f"note = {note}")
+        lines += _decision_lines(result)
         (record(out / "summary.txt")).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if reports is not None:
@@ -560,12 +565,6 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
                     _report_rows(reports.baseline))
         _write_rows(record(out / "benchmark_enhanced.csv"), header,
                     _report_rows(reports.enhanced))
-        lines = ["metric, baseline_mean±std, enhanced_mean±std"]
-        base, enh = reports.summary("baseline"), reports.summary("enhanced")
-        for name in METRIC_NAMES:
-            bm, bs = base[name]
-            em, es = enh[name]
-            lines.append(f"{name}, {bm:.4f}±{bs:.4f}, {em:.4f}±{es:.4f}")
-        (record(out / "benchmark_summary.txt")).write_text("\n".join(lines) + "\n",
+        (record(out / "benchmark_summary.txt")).write_text(_benchmark_summary(reports),
                                                            encoding="utf-8")
     return written

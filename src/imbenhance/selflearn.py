@@ -20,6 +20,11 @@ from .metrics import f1_score
 # Abstention label KFULF gives out-of-fold pool rows; never in the output.
 ARTIFICIAL_LABEL = -1
 
+# Keys of a SelfLearnOutcome.log entry, which are the selflearn_log.csv columns
+# after ``strategy``; ``index`` is the KFULF fold or the DDS iteration.
+LOG_COLUMNS = ("event", "index", "pool_size", "selected", "tested", "kept",
+               "f1_base", "f1_new", "accepted")
+
 
 @dataclass
 class PseudoLabelConfig:
@@ -46,12 +51,6 @@ class SelfLearnOutcome:
     pseudo_labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     selection_f1: dict | None = None  # set by select_strategy
     model: TrainedModel | None = None  # DDS: the fit on ``enhanced``, for select_strategy
-
-
-def _noop_outcome(train: Dataset, strategy: str, note: str) -> SelfLearnOutcome:
-    return SelfLearnOutcome(enhanced=train.take(np.arange(train.n_rows)),
-                            strategy_used=strategy, pseudo_count=0,
-                            log=[{"event": note}])
 
 
 def _pseudo_dataset(unlabeled: Dataset, indices, labels) -> Dataset:
@@ -90,7 +89,7 @@ def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: Classifier
     if train.labels is None:
         raise ValueError("kfulf requires a labeled training set")
     if unlabeled is None or unlabeled.n_rows == 0:
-        return _noop_outcome(train, "KFULF", "empty unlabeled pool")
+        return _outcome(train, unlabeled, "KFULF", [], [], [{"event": "empty unlabeled pool"}])
     if unlabeled.n_rows < cfg.k_folds:
         raise ValueError(f"unlabeled pool of {unlabeled.n_rows} rows is smaller "
                          f"than k_folds={cfg.k_folds}")
@@ -108,7 +107,7 @@ def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: Classifier
         keep = preds != ARTIFICIAL_LABEL
         kept_idx.extend(fold[keep].tolist())
         kept_labels.extend(np.asarray(preds)[keep].tolist())
-        log.append({"event": "fold", "fold": k, "tested": int(len(fold)),
+        log.append({"event": "fold", "index": k, "tested": int(len(fold)),
                     "kept": int(np.sum(keep))})
     return _outcome(train, unlabeled, "KFULF", kept_idx, kept_labels, log)
 
@@ -132,7 +131,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
     if train.labels is None:
         raise ValueError("dds requires a labeled training set")
     if unlabeled is None or unlabeled.n_rows == 0:
-        return _noop_outcome(train, "DDS", "empty unlabeled pool")
+        return _outcome(train, unlabeled, "DDS", [], [], [{"event": "empty unlabeled pool"}])
 
     model = kept_model = fit(classifier_spec, train)
     f1_base = _f1(model, train)
@@ -160,7 +159,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         model = fit(classifier_spec, tmp)
         f1_new = _f1(model, tmp)
         accepted = f1_new > f1_base
-        log.append({"event": "iteration", "iteration": iterations,
+        log.append({"event": "iteration", "index": iterations,
                     "pool_size": int(len(pool_ids)), "selected": int(len(top)),
                     "f1_base": float(f1_base), "f1_new": float(f1_new),
                     "accepted": bool(accepted)})

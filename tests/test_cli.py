@@ -1,7 +1,11 @@
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imbenhance.classifiers import ClassifierSpec
 from imbenhance.cli import _merge_config, build_parser, main
@@ -57,6 +61,21 @@ def test_enhance_end_to_end(small_csv, tmp_path, capsys):
     assert "report written" in printed
 
 
+def test_stdout_repeats_the_report_lines(small_csv, tmp_path, capsys):
+    out = tmp_path / "e"
+    assert run_cli("enhance", str(small_csv), "--max-depth", "6", "--hide-labels", "0.2",
+                   "--out", str(out)) == 0
+    printed = capsys.readouterr().out.splitlines()
+    decisions = printed[3:-1]  # after the three stage timings, before "report written"
+    assert decisions[0].startswith("chosen_technique = ")
+    assert (out / "summary.txt").read_text().endswith("\n".join(decisions) + "\n")
+    out = tmp_path / "b"
+    assert run_cli("benchmark", str(small_csv), "--max-depth", "6", "--disable-selflearning",
+                   "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "benchmark_summary.txt").read_text() + f"report written to {out}\n"
+
+
 def test_enhance_byte_identical_across_runs(small_csv, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ("enhance", str(small_csv), "--max-depth", "6", "--hide-labels", "0.2",
@@ -91,6 +110,38 @@ def test_enhance_with_unlabeled_pool_file(small_csv, tmp_path):
     assert code == 0
     summary = (out / "summary.txt").read_text()
     assert "strategy_used = KFULF" in summary
+
+
+def test_pool_labels_keep_the_input_label_codes(small_csv, tmp_path):
+    # the input lists its majority label first and the pool its minority label
+    # first; good/bad labels must score the pool as 0/1 labels do
+    pool = tmp_path / "pool.csv"
+    run_cli("generate", "--n", "80", "--dims", "3", "--imbalance-ratio", "6",
+            "--seed", "77", "--out", str(pool))
+    summaries = []
+    for names in ({"0": "0", "1": "1"}, {"0": "good", "1": "bad"}):
+        paths = []
+        for src, first in ((small_csv, "0"), (pool, "1")):
+            header, *body = src.read_text().splitlines()
+            body.sort(key=lambda row: row.rsplit(",", 1)[1] != first)
+            rows = [f"{row.rsplit(',', 1)[0]},{names[row.rsplit(',', 1)[1]]}" for row in body]
+            paths.append(tmp_path / f"{names['1']}-{src.name}")
+            paths[-1].write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / f"out-{names['1']}"
+        assert run_cli("enhance", str(paths[0]), "--unlabeled", str(paths[1]),
+                       "--strategy", "kfulf", "--max-depth", "4", "--out", str(out)) == 0
+        summaries.append((out / "summary.txt").read_text())
+    assert "pseudo_accuracy = " in summaries[0]
+    assert summaries[1] == summaries[0]
+
+
+def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
+    pool = tmp_path / "empty.csv"
+    pool.write_text("")
+    code = run_cli("enhance", str(small_csv), "--unlabeled", str(pool),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pool}: empty file, header row required\n"
 
 
 def test_enhance_missing_input_fails(tmp_path, capsys):
@@ -195,6 +246,56 @@ def test_ablation_switches_run(small_csv, tmp_path):
                        "--hide-labels", "0.2", *flags, "--out", str(out))
         assert code == 0, f"ablation {flags} failed"
         assert (out / "enhanced.csv").exists()
+
+
+_CELLS = st.sampled_from(["0", "1", "2.5", "-3", "7", "0.25", "", "NA", "inf", "a"])
+_LABELS = st.sampled_from([("0", "1"), ("good", "bad"), ("0",), ("good", "bad", ""),
+                           ("0", "1", "x")])
+
+
+@st.composite
+def csv_texts(draw, label=True):
+    """CSV text: empty, header only, or rows of numeric, blank, NA, inf and
+    string cells, which may be ragged, leave a column all missing, hold one
+    class or blank labels."""
+    shape = draw(st.sampled_from(["rows", "rows", "rows", "ragged", "empty"]))
+    if shape == "empty":
+        return ""
+    n_features = draw(st.integers(1, 3))
+    header = [f"f{j}" for j in range(n_features)] + (["y"] if label else [])
+    columns = [draw(st.lists(_CELLS, min_size=1, max_size=3)) for _ in range(n_features)]
+    labels = draw(_LABELS)
+    lines = [",".join(header)]
+    for i in range(draw(st.sampled_from([30, 8, 1, 0]))):
+        row = [draw(st.sampled_from(c)) for c in columns]
+        lines.append(",".join(row + ([labels[i % len(labels)]] if label else [])))
+    if shape == "ragged":
+        lines.append(",".join(["1"] * (len(header) + draw(st.sampled_from([-1, 1])))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["enhance", "benchmark"]), data=csv_texts(),
+       pool=st.none() | st.booleans().flatmap(lambda label: csv_texts(label=label)),
+       hide=st.sampled_from([None, "0.3"]))
+# a valid input with an empty pool file, so the pool's header is read
+@example(command="enhance", data="f0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(30)),
+         pool="", hide=None)
+def test_malformed_input_exits_0_or_1_with_an_error_line(tmp_path_factory, command, data,
+                                                          pool, hide):
+    work = tmp_path_factory.mktemp("case")
+    (work / "data.csv").write_text(data)
+    argv = [command, str(work / "data.csv"), "--out", str(work / "out"), "--max-depth", "3",
+            "--k-folds", "2"]
+    if pool is not None:
+        (work / "pool.csv").write_text(pool)
+        argv += ["--unlabeled", str(work / "pool.csv")]
+    if hide is not None:
+        argv += ["--hide-labels", hide]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
 
 
 # ---------------------------------------------------------------- benchmark

@@ -150,6 +150,37 @@ def test_preprocessor_transform_pool_matches_encoding():
     assert pool.feature_names == fitted.feature_names
 
 
+def test_transform_replays_fitted_label_codes():
+    X = np.array([["1"], ["2"], ["3"]], dtype=object)
+    pre = Preprocessor()
+    pre.fit_transform(Dataset(features=X, labels=np.array(["good", "bad", "good"], dtype=object)))
+    out = pre.transform(Dataset(features=X, labels=np.array(["bad", "good", "odd"], dtype=object)))
+    # "bad" and "good" keep their fitted codes; the unseen "odd" gets one past them
+    assert list(out.labels) == [1, 0, 2]
+
+
+def test_transform_refuses_a_string_label_where_integers_were_fitted():
+    X = np.array([["1"], ["2"]], dtype=object)
+    pre = Preprocessor()
+    pre.fit_transform(Dataset(features=X, labels=np.array(["0", "1"], dtype=object)))
+    with pytest.raises(ValueError, match="integer-valued, got 'bad' in row 2"):
+        pre.transform(Dataset(features=X, labels=np.array(["1", "bad"], dtype=object)))
+
+
+def test_missing_string_label_is_reported_with_its_row():
+    X = np.array([["1"], ["2"], ["3"], ["4"]], dtype=object)
+    labels = np.array(["good", "bad", "", "good"], dtype=object)
+    with pytest.raises(ValueError, match="missing label value in row 3"):
+        preprocess(Dataset(features=X, labels=labels))
+
+
+def test_all_missing_categorical_column_is_dropped_at_threshold_one():
+    X = np.array([[None, "1"], [None, "2"]], dtype=object)
+    d = Dataset(features=X, feature_names=["c", "v"], column_kinds=["categorical", "unknown"])
+    out = Preprocessor(missing_drop_threshold=1.0).fit_transform(d)
+    assert out.feature_names == ["v"]
+
+
 def test_preprocess_schema_hint_forces_categorical():
     X = np.array([["1"], ["2"], ["1"]], dtype=object)
     d = Dataset(features=X, feature_names=["c"], column_kinds=["categorical"])

@@ -6,6 +6,7 @@ from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit, predict
 from imbenhance.data import Dataset, generate_synthetic_benchmark, stratified_split, SplitSpec
 from imbenhance.metrics import f1_score
 from imbenhance.selflearn import (
+    LOG_COLUMNS,
     PseudoLabelConfig,
     SelfLearnOutcome,
     dds,
@@ -191,6 +192,18 @@ def test_dds_real_run_pool_shrinks_and_is_deterministic():
     sizes = [e["pool_size"] for e in a.log]
     assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
     assert len(a.log) <= PseudoLabelConfig().max_iterations
+
+
+@pytest.mark.parametrize("strategy, first_index", [(kfulf, 0), (dds, 1)])
+def test_log_entries_are_keyed_by_the_log_columns(strategy, first_index):
+    pool = unlabeled(np.linspace(-1, 12, 10).reshape(10, 1))
+    for p in (pool, None):
+        out = strategy(small_train(), p, ClassifierSpec(kind="decision-tree"),
+                       PseudoLabelConfig())
+        assert out.log and all(set(e) <= set(LOG_COLUMNS) for e in out.log)
+    out = strategy(small_train(), pool, ClassifierSpec(kind="decision-tree"), PseudoLabelConfig())
+    indices = [e["index"] for e in out.log]
+    assert indices == list(range(first_index, first_index + len(out.log)))
 
 
 # ------------------------------------------------------------ select_strategy
