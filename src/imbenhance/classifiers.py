@@ -41,6 +41,20 @@ class TrainedModel:
     label_set: np.ndarray  # sorted class identifiers
     n_features_: int
 
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "TrainedModel":
+        """Encode the classes once, as codes into ``label_set``, and fit on the codes."""
+        X = np.asarray(X, dtype=float)
+        self.label_set, codes = np.unique(y, return_inverse=True)
+        if len(self.label_set) < 2:
+            raise ValueError("training set has a single class")
+        self.n_features_ = X.shape[1]
+        self._fit(X, codes, len(self.label_set))
+        return self
+
+    def _fit(self, X: np.ndarray, codes: np.ndarray, n_labels: int):
+        """Fit on ``codes``, each row's index into the ``n_labels`` sorted classes."""
+        raise NotImplementedError
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
@@ -124,23 +138,13 @@ class DecisionTreeModel(TrainedModel):
         self.rng = rng
         self.root_: _TreeNode | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            label_set: np.ndarray | None = None) -> "DecisionTreeModel":
-        """Grow the tree. ``label_set`` pins the class columns to a superset of
-        ``y``'s labels (a forest member whose bootstrap lost a class)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        self.label_set = np.unique(y if label_set is None else label_set)
-        if not np.all(np.isin(y, self.label_set)):
-            raise ValueError("y has labels outside label_set")
-        self.n_features_ = X.shape[1]
-        codes = np.searchsorted(self.label_set, y)
+    def _fit(self, X, codes, n_labels):
+        self.n_labels_ = n_labels  # a forest member keeps every class its bootstrap lost
         # each feature is sorted once; nodes stable-partition these rows
         rows = np.argsort(X.T, axis=1, kind="stable")
-        counts = np.bincount(codes, minlength=len(self.label_set))
-        goes_left = np.zeros(len(y), dtype=bool)
+        counts = np.bincount(codes, minlength=n_labels)
+        goes_left = np.zeros(len(codes), dtype=bool)
         self.root_ = self._grow(X, codes, rows, counts, goes_left, depth=0)
-        return self
 
     def _grow(self, X, codes, rows, counts, goes_left, depth):
         n = rows.shape[1]
@@ -171,7 +175,7 @@ class DecisionTreeModel(TrainedModel):
         return _TreeNode(probs=probs)
 
     def _proba(self, X):
-        out = np.empty((X.shape[0], len(self.label_set)))
+        out = np.empty((X.shape[0], self.n_labels_))
         self._route(self.root_, X, np.arange(X.shape[0]), out)
         return out
 
@@ -200,25 +204,17 @@ class RandomForestModel(TrainedModel):
         self.seed = seed
         self.trees_: list[DecisionTreeModel] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestModel":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        self.label_set = np.unique(y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes, n_labels):
         n, d = X.shape
         subsample = max(1, int(math.floor(math.sqrt(d)))) if self.bootstrap else None
         self.trees_ = []
         for i in range(self.n_estimators):
             rng = np.random.default_rng(self.seed + i)
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                Xi, yi = X[idx], y[idx]
-            else:
-                Xi, yi = X, y
             tree = DecisionTreeModel(max_depth=self.max_depth,
                                      feature_subsample=subsample, rng=rng)
-            self.trees_.append(tree.fit(Xi, yi, label_set=self.label_set))
-        return self
+            idx = rng.integers(0, n, size=n) if self.bootstrap else slice(None)
+            tree._fit(X[idx], codes[idx], n_labels)
+            self.trees_.append(tree)
 
     def _proba(self, X):
         return np.mean([t._proba(X) for t in self.trees_], axis=0)
@@ -235,20 +231,16 @@ class LogisticRegressionModel(TrainedModel):
         self.weights_: np.ndarray | None = None  # (n_classes_or_1, d)
         self.biases_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionModel":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        self.label_set = np.unique(y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes, n_labels):
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
         self.std_ = np.where(std > 0, std, 1.0)
         Z = (X - self.mean_) / self.std_
 
-        if len(self.label_set) == 2:
-            targets = [(y == self.label_set[1]).astype(float)]
+        if n_labels == 2:
+            targets = [(codes == 1).astype(float)]
         else:
-            targets = [(y == c).astype(float) for c in self.label_set]
+            targets = [(codes == c).astype(float) for c in range(n_labels)]
 
         from scipy.special import expit   # loaded by logistic regression alone
 
@@ -261,7 +253,6 @@ class LogisticRegressionModel(TrainedModel):
             r -= t
             self.weights_ -= self.learning_rate * (r.T @ Z / n)
             self.biases_ -= self.learning_rate * (np.add.reduce(r, axis=0) / n)
-        return self
 
     def _proba(self, X):
         from scipy.special import expit
@@ -288,17 +279,14 @@ def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
     X = _features_of(train)
     if not np.all(np.isfinite(X)):
         raise ValueError("training features must be finite (run preprocessing first)")
-    y = np.asarray(train.labels)
-    if len(np.unique(y)) < 2:
-        raise ValueError("training set has a single class")
 
     if spec.kind == "decision-tree":
-        return DecisionTreeModel(max_depth=spec.max_depth).fit(X, y)
+        return DecisionTreeModel(max_depth=spec.max_depth).fit(X, train.labels)
     if spec.kind == "random-forest":
         return RandomForestModel(max_depth=spec.max_depth, n_estimators=spec.n_estimators,
-                                 bootstrap=spec.bootstrap, seed=spec.seed).fit(X, y)
+                                 bootstrap=spec.bootstrap, seed=spec.seed).fit(X, train.labels)
     return LogisticRegressionModel(learning_rate=spec.learning_rate,
-                                   n_iterations=spec.n_iterations).fit(X, y)
+                                   n_iterations=spec.n_iterations).fit(X, train.labels)
 
 
 def predict_proba(m: TrainedModel, x) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import (
     Preprocessor,
+    _parse_column,
     canonicalize_binary,
     generate_synthetic_benchmark,
     load_csv,
@@ -94,7 +95,7 @@ def _merge_config(args) -> PipelineConfig:
 
 
 def _prepare_data(cfg: PipelineConfig):
-    """Load, preprocess, and canonicalize the input; build the unlabeled pool."""
+    """Load, preprocess, and canonicalize the input; build the pool, its labels the truth."""
     if not cfg.input_path:
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
@@ -102,26 +103,24 @@ def _prepare_data(cfg: PipelineConfig):
     clean = pre.fit_transform(raw)
     ds, mapping = canonicalize_binary(clean, cfg.positive_label)
 
-    pool = truth = None
+    pool = None
     if cfg.unlabeled_path:
         with open(cfg.unlabeled_path, newline="", encoding="utf-8") as fh:
             header = [h.strip() for h in next(csv.reader(fh), [])]
         label_col = cfg.label_column if cfg.label_column in header else None
-        pool_raw = load_csv(cfg.unlabeled_path, label_column=label_col)
-        pool_clean = pre.transform(pool_raw)
-        pool = pool_clean.without_labels()
-        if pool_clean.labels is not None:
-            # the pool file carried labels: keep them aside as hidden ground truth
-            truth = np.array([mapping.get(int(v), -1) for v in pool_clean.labels])
-    return ds, pool, truth, mapping
+        pool = pre.transform(load_csv(cfg.unlabeled_path, label_column=label_col))
+        if pool.labels is not None:
+            pool = pool.with_labels(np.array([mapping.get(int(v), -1) for v in pool.labels],
+                                             dtype=int))
+    return ds, pool, mapping
 
 
 def cmd_enhance(args) -> int:
     cfg = _merge_config(args)
-    ds, pool, truth, mapping = _prepare_data(cfg)
+    ds, pool, mapping = _prepare_data(cfg)
     if mapping != {0: 0, 1: 1}:
         print(f"label mapping (original -> canonical): {mapping}")
-    result = run_pipeline(ds, pool, cfg, pool_truth=truth)
+    result = run_pipeline(ds, pool, cfg)
     emit_report(result, None, args.out, cfg)
     for stage, ms in result.timings_ms.items():
         print(f"{stage}: {ms:.1f} ms")
@@ -133,8 +132,8 @@ def cmd_enhance(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _merge_config(args)
-    ds, pool, truth, _ = _prepare_data(cfg)
-    bench = benchmark(ds, cfg, unlabeled=pool, pool_truth=truth)
+    ds, pool, _ = _prepare_data(cfg)
+    bench = benchmark(ds, cfg, unlabeled=pool)
     emit_report(None, bench, args.out, cfg)
     print(_benchmark_summary(bench), end="")
     print(f"report written to {args.out}")
@@ -152,19 +151,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _numbers(path, cells: dict, name: str, integer: bool = False) -> np.ndarray:
+    """Column ``name`` as finite numbers (integers if ``integer``); a cell that
+    is not one is an error naming its data row, counted from 1."""
+    if name not in cells:
+        raise ValueError(f"{path}: column {name!r} required")
+    values, bad, _ = _parse_column(cells[name], numeric_input=False)
+    if integer:
+        bad |= values != np.floor(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: {name} in row {i + 1} must be a finite "
+                         f"{'integer' if integer else 'number'}, got {cells[name][i] or ''!r}")
+    return values.astype(int) if integer else values
+
+
 def cmd_metrics(args) -> int:
-    with open(args.predictions, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
+    raw = load_csv(args.predictions)
+    if raw.n_rows == 0:
         raise ValueError(f"{args.predictions}: no data rows")
-    for col in ("label", "score"):
-        if col not in rows[0]:
-            raise ValueError(f"{args.predictions}: column {col!r} required")
-    labels = np.array([int(float(r["label"])) for r in rows])
-    scores = np.array([float(r["score"]) for r in rows])
-    if "prediction" in rows[0] and rows[0]["prediction"] != "":
-        preds = np.array([int(float(r["prediction"])) for r in rows])
+    cells = dict(zip(raw.feature_names, raw.features.T))
+    labels = _numbers(args.predictions, cells, "label", integer=True)
+    scores = _numbers(args.predictions, cells, "score")
+    if "prediction" in cells and cells["prediction"][0] is not None:
+        preds = _numbers(args.predictions, cells, "prediction", integer=True)
     else:
         preds = (scores >= args.threshold).astype(int)
     report = _eval_report(labels, scores, preds, args.threshold)

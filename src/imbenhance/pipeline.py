@@ -96,6 +96,9 @@ class PipelineConfig:
                              f"got {self.threshold_grid}")
         if self.smote_k_neighbors < 1:
             raise ValueError(f"smote_k_neighbors must be at least 1, got {self.smote_k_neighbors}")
+        if not self.techniques:
+            raise ValueError("techniques must be a nonempty list")
+        self.build_techniques()  # refuses an unknown name before any stage runs
 
     def build_techniques(self):
         built = []
@@ -107,7 +110,8 @@ class PipelineConfig:
             elif name.startswith("replay:"):
                 built.append(ReplayFileTechnique(name.split(":", 1)[1]))
             else:
-                raise ValueError(f"unknown synthesis technique {name!r}")
+                raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
+                                 f"got {name!r}")
         return built
 
 
@@ -128,12 +132,16 @@ class EnhancementResult:
     notes: list = field(default_factory=list)
 
 
-def _validate_pipeline_input(d: Dataset):
+def _validate_pipeline_input(d: Dataset, pool: Dataset | None):
     if d.labels is None:
         raise ValueError("pipeline input must be labeled")
     present = set(np.unique(d.labels).tolist())
     if present != {0, 1}:
         raise ValueError(f"pipeline input labels must be exactly {{0, 1}}, got {sorted(present)}")
+    if pool is not None and pool.labels is not None:
+        outside = sorted(set(np.unique(pool.labels).tolist()) - {-1, 0, 1})
+        if outside:
+            raise ValueError(f"pool labels (hidden truth) must be -1, 0 or 1, got {outside}")
 
 
 @contextmanager
@@ -163,36 +171,25 @@ def _pool_accuracies(classifier: ClassifierSpec, sl_train: Dataset, pool: Datase
 
 
 def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
-                 cfg: PipelineConfig, pool_truth=None) -> EnhancementResult:
+                 cfg: PipelineConfig) -> EnhancementResult:
     """Run synthesis, filtering, and self-learning in order on a labeled
     {0, 1} dataset; a disabled stage passes its input through unchanged.
 
-    ``cfg.hide_labels`` carves a stratified fraction of the input into the
-    unlabeled pool (their labels are kept aside as ground truth so the report
-    can score the pseudo-labels). ``pool_truth`` optionally supplies hidden
-    labels for an externally provided pool, -1 where unknown.
+    The pool's labels, if it has any, are its hidden truth (-1 where unknown):
+    self-learning never sees them, and the report scores the pseudo-labels
+    against them. ``cfg.hide_labels`` carves a stratified fraction of the input,
+    labels and all, into the front of the pool.
     """
-    _validate_pipeline_input(input_ds)
-    work = input_ds
-    pool = unlabeled
-    truth = None
-    if pool is not None and pool_truth is not None:
-        truth = np.asarray(pool_truth, dtype=int)
-        if len(truth) != pool.n_rows:
-            raise ValueError("pool_truth length does not match the unlabeled pool")
-    elif pool is not None:
-        truth = np.full(pool.n_rows, -1, dtype=int)
-
+    _validate_pipeline_input(input_ds, unlabeled)
+    work, pool = input_ds, unlabeled
+    if pool is not None and pool.labels is None:
+        pool = pool.with_labels(np.full(pool.n_rows, -1, dtype=int))
     if cfg.hide_labels > 0.0:
-        keep, hidden = stratified_split(
+        work, hidden = stratified_split(
             work, SplitSpec(mode="holdout", ratio=1.0 - cfg.hide_labels, seed=cfg.seed))
-        work = keep
-        hidden_truth = np.asarray(hidden.labels, dtype=int)
-        if pool is None:
-            pool, truth = hidden.without_labels(), hidden_truth
-        else:
-            pool = concat_datasets([hidden.without_labels(), pool])
-            truth = np.concatenate([hidden_truth, truth])
+        pool = hidden if pool is None else concat_datasets([hidden, pool])
+    truth = None if pool is None else np.asarray(pool.labels, dtype=int)
+    pool = None if pool is None else pool.without_labels()
 
     result = EnhancementResult(enhanced=work, aug=work, filtered=work, input_data=work,
                                input_stats=class_stats(work),
@@ -260,8 +257,10 @@ class BenchmarkResult:
     pipeline_results: list  # EnhancementResult per fold
 
     def summary(self, which: str) -> dict:
-        """metric -> (mean, sample std) across folds."""
-        reports = self.baseline if which == "baseline" else self.enhanced
+        """metric -> (mean, sample std) across folds; ``which`` is baseline or enhanced."""
+        if which not in ("baseline", "enhanced"):
+            raise ValueError(f"which must be baseline or enhanced, got {which!r}")
+        reports = getattr(self, which)
         return {name: _mean_std([getattr(r, name) for r in reports]) for name in METRIC_NAMES}
 
 
@@ -272,7 +271,7 @@ def _mean_std(values) -> tuple[float, float]:
 
 
 def benchmark(input_ds: Dataset, cfg: PipelineConfig,
-              unlabeled: Dataset | None = None, pool_truth=None) -> BenchmarkResult:
+              unlabeled: Dataset | None = None) -> BenchmarkResult:
     """Stratified k-fold before/after comparison.
 
     For each fold, the same classifier is trained once on the raw training
@@ -280,7 +279,7 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
     on the untouched test fold. Enhancement happens strictly inside each
     training fold. Per-fold seeds are the base seed plus the fold index.
     """
-    _validate_pipeline_input(input_ds)
+    _validate_pipeline_input(input_ds, unlabeled)
     folds = stratified_split(input_ds, SplitSpec(mode="k-fold", k=cfg.benchmark_folds,
                                                  seed=cfg.seed))
     baseline_reports, enhanced_reports, results, sizes = [], [], [], []
@@ -290,7 +289,7 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
         baseline_model = fit(fold_cfg.classifier, train_fold)
         baseline_reports.append(evaluate(baseline_model, test_fold))
 
-        result = run_pipeline(train_fold, unlabeled, fold_cfg, pool_truth)
+        result = run_pipeline(train_fold, unlabeled, fold_cfg)
         enhanced_model = fit(fold_cfg.classifier, result.enhanced)
         enhanced_reports.append(evaluate(enhanced_model, test_fold))
         results.append(result)

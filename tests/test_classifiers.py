@@ -138,12 +138,10 @@ def test_logistic_zero_weights_gives_half():
 
 def test_forest_probability_is_mean_of_trees():
     t1 = DecisionTreeModel()
-    t1.label_set = np.array([0, 1])
-    t1.n_features_ = 1
+    t1.n_labels_ = 2
     t1.root_ = _TreeNode(probs=np.array([1.0, 0.0]))
     t2 = DecisionTreeModel()
-    t2.label_set = np.array([0, 1])
-    t2.n_features_ = 1
+    t2.n_labels_ = 2
     t2.root_ = _TreeNode(probs=np.array([0.0, 1.0]))
     forest = RandomForestModel(n_estimators=2)
     forest.label_set = np.array([0, 1])
@@ -309,13 +307,8 @@ def test_forest_member_keeps_label_set_when_bootstrap_drops_a_class():
     # member i bootstraps with rng(seed + i); at least one misses the minority row
     assert any(11 not in np.random.default_rng(i).integers(0, 12, size=12) for i in range(10))
     for tree in forest.trees_:
-        assert np.array_equal(tree.label_set, forest.label_set)
+        assert tree._proba(X).shape == (12, 2)
     assert forest.predict_proba(X).shape == (12, 2)
-
-
-def test_pinned_label_set_must_cover_the_labels():
-    with pytest.raises(ValueError, match="label_set"):
-        DecisionTreeModel().fit(np.zeros((3, 1)), np.array([0, 1, 1]), label_set=[0])
 
 
 

@@ -177,7 +177,8 @@ def test_bad_config_file_value_names_file_line_and_key(small_csv, tmp_path, caps
 OUT_OF_RANGE = [("target_ratio", "-1"), ("target_ratio", "nan"), ("target_ratio", "inf"),
                 ("synthesis_split_ratio", "1.5"), ("synthesis_split_ratio", "0"),
                 ("threshold_grid", "0.2,1.5"), ("threshold_grid", ","),
-                ("smote_k_neighbors", "0")]
+                ("smote_k_neighbors", "0"), ("techniques", "foo"), ("techniques", ","),
+                ("techniques", "smote,replay")]
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
@@ -254,16 +255,16 @@ _LABELS = st.sampled_from([("0", "1"), ("good", "bad"), ("0",), ("good", "bad", 
 
 
 @st.composite
-def csv_texts(draw, label=True):
+def csv_texts(draw, label=True, names=None):
     """CSV text: empty, header only, or rows of numeric, blank, NA, inf and
     string cells, which may be ragged, leave a column all missing, hold one
-    class or blank labels."""
+    class or blank labels. ``names`` fixes the feature columns."""
     shape = draw(st.sampled_from(["rows", "rows", "rows", "ragged", "empty"]))
     if shape == "empty":
         return ""
-    n_features = draw(st.integers(1, 3))
-    header = [f"f{j}" for j in range(n_features)] + (["y"] if label else [])
-    columns = [draw(st.lists(_CELLS, min_size=1, max_size=3)) for _ in range(n_features)]
+    names = names or [f"f{j}" for j in range(draw(st.integers(1, 3)))]
+    header = names + (["y"] if label else [])
+    columns = [draw(st.lists(_CELLS, min_size=1, max_size=3)) for _ in names]
     labels = draw(_LABELS)
     lines = [",".join(header)]
     for i in range(draw(st.sampled_from([30, 8, 1, 0]))):
@@ -295,6 +296,20 @@ def test_malformed_input_exits_0_or_1_with_an_error_line(tmp_path_factory, comma
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.sampled_from([["label", "score"], ["label", "score", "prediction"],
+                             ["score", "label"]]).flatmap(
+    lambda names: csv_texts(label=False, names=names)))
+@example(data="label,score\n1,0.9\n0\n")
+def test_malformed_predictions_exit_0_or_1_with_an_error_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("case") / "preds.csv"
+    path.write_text(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["metrics", str(path)])
     assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
 
 
@@ -335,6 +350,22 @@ def test_metrics_with_prediction_column_and_csv_out(tmp_path):
     values = lines[1].split(",")
     assert float(values[0]) == 0.5  # precision: tp=1, fp=1
     assert float(values[1]) == 0.5  # recall: tp=1, fn=1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label,score\n1,0.9\n0\n", "non-rectangular row at line 3 (1 fields, expected 2)"),
+    ("label,score\n1,0.9\n,0.2\n", "label in row 2 must be a finite integer, got ''"),
+    ("label,score\n1,0.9\n0.5,0.2\n", "label in row 2 must be a finite integer, got '0.5'"),
+    ("label,score\n1,inf\n0,0.2\n", "score in row 1 must be a finite number, got 'inf'"),
+    ("label,score\n1,0.9\n0,high\n", "score in row 2 must be a finite number, got 'high'"),
+    ("label,score,prediction\n1,0.9,1\n0,0.2,\n",
+     "prediction in row 2 must be a finite integer, got ''"),
+])
+def test_metrics_names_the_bad_row(tmp_path, capsys, text, message):
+    p = tmp_path / "preds.csv"
+    p.write_text(text)
+    assert run_cli("metrics", str(p)) == 1
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
 
 def test_metrics_missing_column(tmp_path, capsys):

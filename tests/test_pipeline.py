@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import re
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbenhance.classifiers import ClassifierSpec
+from imbenhance.classifiers import ClassifierSpec, fit, predict
 from imbenhance.data import SplitSpec, class_stats, generate_synthetic_benchmark, stratified_split
 from imbenhance.filtering import filter_sweep
 from imbenhance.pipeline import (
@@ -103,12 +105,40 @@ def test_hide_labels_carves_pool():
 def test_supplied_pool_with_truth():
     d = bench_data(n=400, seed=6)
     train, hidden = stratified_split(d, SplitSpec(mode="holdout", ratio=0.7, seed=6))
-    pool = hidden.without_labels()
     cfg = quick_cfg(strategy="kfulf")
-    result = run_pipeline(train, pool, cfg, pool_truth=hidden.labels)
-    assert result.pool_size == pool.n_rows
+    result = run_pipeline(train, hidden, cfg)  # the pool's labels are its hidden truth
+    assert result.pool_size == hidden.n_rows
     if result.selflearn.pseudo_count:
         assert 0.0 <= result.pseudo_accuracy <= 1.0
+
+
+def test_labeled_pool_with_hidden_labels_is_scored_and_unseen_by_selflearning():
+    d = bench_data(n=400, seed=6)
+    train, hidden = stratified_split(d, SplitSpec(mode="holdout", ratio=0.7, seed=6))
+    cfg = quick_cfg(hide_labels=0.2, strategy="kfulf")
+    scored = run_pipeline(train, hidden, cfg)
+    blind = run_pipeline(train, hidden.without_labels(), cfg)
+    assert scored.enhanced.equals(blind.enhanced)
+    # the carved rows come first in the pool, the supplied pool after them
+    _, carved = stratified_split(train, SplitSpec(mode="holdout", ratio=0.8, seed=cfg.seed))
+    assert scored.pool_size == carved.n_rows + hidden.n_rows
+    truth = np.concatenate([carved.labels, hidden.labels])
+    outcome = scored.selflearn
+    assert np.any(outcome.pseudo_indices >= carved.n_rows)
+    expected = np.mean(outcome.pseudo_labels == truth[outcome.pseudo_indices])
+    assert scored.pseudo_accuracy == float(expected)
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "benchmark"])
+def test_pool_labels_outside_the_truth_codes_are_refused(entry):
+    d = bench_data(n=300, seed=6)
+    train, hidden = stratified_split(d, SplitSpec(mode="holdout", ratio=0.7, seed=6))
+    pool = hidden.with_labels(np.where(hidden.labels == 1, 2, -1))
+    with pytest.raises(ValueError, match=re.escape("must be -1, 0 or 1, got [2]")):
+        if entry == "run_pipeline":
+            run_pipeline(train, pool, quick_cfg())
+        else:
+            benchmark(train, quick_cfg(), unlabeled=pool)
 
 
 def _frozen_copy(d):
@@ -126,15 +156,14 @@ def test_pipeline_leaves_its_input_datasets_unchanged(entry):
     # anywhere in the stages would reach the caller's data
     d = bench_data(n=400, seed=6)
     train, hidden = stratified_split(d, SplitSpec(mode="holdout", ratio=0.7, seed=6))
-    pool = hidden.without_labels()
-    train_before, pool_before = _frozen_copy(train), _frozen_copy(pool)
+    train_before, pool_before = _frozen_copy(train), _frozen_copy(hidden)
     cfg = quick_cfg(hide_labels=0.2)
     if entry == "run_pipeline":
-        run_pipeline(train, pool, cfg, pool_truth=hidden.labels)
+        run_pipeline(train, hidden, cfg)
     else:
-        benchmark(train, cfg, unlabeled=pool, pool_truth=hidden.labels)
+        benchmark(train, cfg, unlabeled=hidden)
     assert train.equals(train_before)
-    assert pool.equals(pool_before)
+    assert hidden.equals(pool_before)
 
 
 def test_stage_error_carries_stage_name():
@@ -152,6 +181,22 @@ def test_filtering_passthrough_when_no_misclassified():
     assert result.filtering is None
     assert any("filtering skipped" in n for n in result.notes)
     assert result.enhanced.equals(result.aug)
+
+
+def test_filtering_without_synthesis_scores_on_the_synthesis_split():
+    d = bench_data(seed=4)
+    cfg = quick_cfg(disable_synthesis=True, disable_selflearning=True)
+    result = run_pipeline(d, None, cfg)
+    tr, val = stratified_split(d, SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio,
+                                            seed=cfg.seed))
+    model = fit(cfg.classifier, tr)
+    mis = val.take(np.flatnonzero(predict(model, val) != val.labels))
+    assert mis.n_rows > 0
+    direct = filter_sweep(d, mis, model, cfg.classifier, thresholds=cfg.threshold_grid,
+                          original_stats=class_stats(d), retention=True)
+    assert result.filtering.table == direct.table
+    assert result.filtering.chosen_threshold == direct.chosen_threshold
+    assert result.enhanced.equals(direct.filtered)
 
 
 def test_forced_strategy_skips_holdout_carve():
@@ -215,6 +260,14 @@ def test_benchmark_summary_shapes():
         assert set(table) == {"precision", "recall", "f1", "accuracy", "auc", "ks"}
         for mean, std in table.values():
             assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+
+def test_benchmark_summary_refuses_an_unknown_side():
+    bench = benchmark(bench_data(seed=15), quick_cfg(disable_synthesis=True,
+                                                     disable_filtering=True,
+                                                     disable_selflearning=True))
+    with pytest.raises(ValueError, match="which must be baseline or enhanced, got 'basline'"):
+        bench.summary("basline")
 
 
 # ------------------------------------------------------------ configuration
@@ -351,6 +404,21 @@ def test_readme_config_block_is_the_defaults_in_table_order(tmp_path):
     mapping = parse_config_file(p)
     assert list(mapping) == [key for key, *_ in CONFIG_KEYS]
     assert config_from_mapping(mapping) == PipelineConfig()
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert len(out.getvalue().splitlines()) == 3
+
+
+@pytest.mark.parametrize("techniques", [[], ["foo"], ["smote", "smoth"]])
+def test_techniques_are_checked_before_any_stage(techniques):
+    with pytest.raises(ValueError, match="^techniques must "):
+        PipelineConfig(techniques=techniques, disable_synthesis=True)
 
 
 # ------------------------------------------------------------------ reports
