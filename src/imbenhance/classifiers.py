@@ -220,10 +220,20 @@ class RandomForestModel(TrainedModel):
         return np.mean([t._proba(X) for t in self.trees_], axis=0)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` in place in ``z``. A z below about -709 overflows
+    ``exp`` to inf and gives exactly 0.0, which is the sigmoid's limit."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
 class LogisticRegressionModel(TrainedModel):
     """Full-batch gradient descent on cross-entropy; features standardized
-    internally with fit-time mean/stdev. Three or more labels train one-vs-rest
-    with row-normalized sigmoid outputs."""
+    internally with fit-time mean/stdev. Two labels run one binary descent, on
+    the second label. Three or more train one-vs-rest: one independent binary
+    descent per label, with row-normalized sigmoid outputs."""
 
     def __init__(self, learning_rate: float = 0.1, n_iterations: int = 500):
         self.learning_rate = learning_rate
@@ -236,29 +246,30 @@ class LogisticRegressionModel(TrainedModel):
         std = X.std(axis=0)
         self.std_ = np.where(std > 0, std, 1.0)
         Z = (X - self.mean_) / self.std_
+        positives = [1] if n_labels == 2 else range(n_labels)
+        fits = [self._descend(Z, (codes == c).astype(float)[:, None]) for c in positives]
+        self.weights_ = np.vstack([w for w, _ in fits])
+        self.biases_ = np.concatenate([b for _, b in fits])
 
-        if n_labels == 2:
-            targets = [(codes == 1).astype(float)]
-        else:
-            targets = [(codes == c).astype(float) for c in range(n_labels)]
-
-        from scipy.special import expit   # loaded by logistic regression alone
-
+    def _descend(self, Z, t):
+        """One binary descent toward the (n, 1) 0/1 targets ``t``; returns the
+        (1, d) weights and the (1,) bias. Every step reuses one (n, 1)
+        residual buffer."""
         n, d = Z.shape
-        t = np.column_stack(targets)
-        self.weights_ = np.zeros((len(targets), d))
-        self.biases_ = np.zeros(len(targets))
+        w, b = np.zeros((1, d)), np.zeros(1)
+        r = np.empty((n, 1))
         for _ in range(self.n_iterations):
-            r = expit(Z @ self.weights_.T + self.biases_)  # (n, k)
+            np.matmul(Z, w.T, out=r)
+            r += b
+            _sigmoid(r)
             r -= t
-            self.weights_ -= self.learning_rate * (r.T @ Z / n)
-            self.biases_ -= self.learning_rate * (np.add.reduce(r, axis=0) / n)
+            w -= self.learning_rate * (r.T @ Z / n)
+            b -= self.learning_rate * (np.add.reduce(r, axis=0) / n)
+        return w, b
 
     def _proba(self, X):
-        from scipy.special import expit
-
         Z = (X - self.mean_) / self.std_
-        p = expit(Z @ self.weights_.T + self.biases_)
+        p = _sigmoid(Z @ self.weights_.T + self.biases_)
         if len(self.label_set) == 2:
             return np.column_stack([1.0 - p[:, 0], p[:, 0]])
         return p / p.sum(axis=1, keepdims=True)

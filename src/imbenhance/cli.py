@@ -151,19 +151,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _numbers(path, cells: dict, name: str, integer: bool = False) -> np.ndarray:
-    """Column ``name`` as finite numbers (integers if ``integer``); a cell that
-    is not one is an error naming its data row, counted from 1."""
+def _numbers(path, cells: dict, name: str, binary: bool = False) -> np.ndarray:
+    """Column ``name`` as finite numbers (as 0/1 integers if ``binary``); a cell
+    that is not one is an error naming its data row, counted from 1."""
     if name not in cells:
         raise ValueError(f"{path}: column {name!r} required")
     values, bad, _ = _parse_column(cells[name], numeric_input=False)
-    if integer:
-        bad |= values != np.floor(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"{path}: {name} in row {i + 1} must be a finite "
-                         f"{'integer' if integer else 'number'}, got {cells[name][i] or ''!r}")
-    return values.astype(int) if integer else values
+    checks = [(bad, "a finite number")]
+    if binary:
+        checks = [(bad | (values != np.floor(values)), "a finite integer"),
+                  ((values != 0) & (values != 1), "0 or 1")]
+    for wrong, what in checks:
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise ValueError(f"{path}: {name} in row {i + 1} must be {what}, "
+                             f"got {cells[name][i] or ''!r}")
+    return values.astype(int) if binary else values
 
 
 def cmd_metrics(args) -> int:
@@ -171,10 +174,10 @@ def cmd_metrics(args) -> int:
     if raw.n_rows == 0:
         raise ValueError(f"{args.predictions}: no data rows")
     cells = dict(zip(raw.feature_names, raw.features.T))
-    labels = _numbers(args.predictions, cells, "label", integer=True)
+    labels = _numbers(args.predictions, cells, "label", binary=True)
     scores = _numbers(args.predictions, cells, "score")
     if "prediction" in cells and cells["prediction"][0] is not None:
-        preds = _numbers(args.predictions, cells, "prediction", integer=True)
+        preds = _numbers(args.predictions, cells, "prediction", binary=True)
     else:
         preds = (scores >= args.threshold).astype(int)
     report = _eval_report(labels, scores, preds, args.threshold)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 import imbenhance
 from imbenhance.classifiers import (
@@ -18,6 +17,7 @@ from imbenhance.classifiers import (
     RandomForestModel,
     TrainedModel,
     _best_split,
+    _sigmoid,
     _TreeNode,
     fit,
     predict,
@@ -61,7 +61,7 @@ def logistic_loss_path(X, y, learning_rate, n_iterations):
             t = (y == m.label_set[1]).astype(float)[:, None]
         else:
             t = np.column_stack([(y == c).astype(float) for c in m.label_set])
-        p = expit((X - m.mean_) / m.std_ @ m.weights_.T + m.biases_)
+        p = 1 / (1 + np.exp(-((X - m.mean_) / m.std_ @ m.weights_.T + m.biases_)))
         losses.append(float(-np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))))
     return losses
 
@@ -228,52 +228,96 @@ def test_logistic_multiclass_one_vs_rest():
     assert np.array_equal(m.label_set[np.argmax(p, axis=1)], y)
 
 
-def reference_logistic_weights(X, y, learning_rate, n_iterations):
-    """The gradient step written out plainly: the residual formed twice and
-    the bias step through np.mean."""
+def _standardized_targets(X, y):
     label_set = np.unique(y)
     std = X.std(axis=0)
     Z = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
-    if len(label_set) == 2:
-        t = np.column_stack([(y == label_set[1]).astype(float)])
-    else:
-        t = np.column_stack([(y == c).astype(float) for c in label_set])
+    positives = label_set[1:] if len(label_set) == 2 else label_set
+    return Z, [(y == c).astype(float)[:, None] for c in positives]
+
+
+def reference_logistic_weights(X, y, learning_rate, n_iterations):
+    """One-vs-rest written out plainly: one binary gradient step per class,
+    with the residual formed twice and the bias step through np.mean."""
+    Z, targets = _standardized_targets(X, y)
+    n, d = Z.shape
+    weights, biases = [], []
+    for t in targets:
+        w, b = np.zeros((1, d)), np.zeros(1)
+        for _ in range(n_iterations):
+            p = 1 / (1 + np.exp(-(Z @ w.T + b)))
+            w -= learning_rate * ((p - t).T @ Z / n)
+            b -= learning_rate * np.mean(p - t, axis=0)
+        weights.append(w)
+        biases.append(b)
+    return np.vstack(weights), np.concatenate(biases)
+
+
+def stacked_logistic_weights(X, y, learning_rate, n_iterations):
+    """Every class in one (n, k) step: the same descents as one matrix."""
+    Z, targets = _standardized_targets(X, y)
+    t = np.hstack(targets)
     n, d = Z.shape
     weights, biases = np.zeros((t.shape[1], d)), np.zeros(t.shape[1])
     for _ in range(n_iterations):
-        p = expit(Z @ weights.T + biases)
+        p = 1 / (1 + np.exp(-(Z @ weights.T + biases)))
         weights -= learning_rate * ((p - t).T @ Z / n)
         biases -= learning_rate * np.mean(p - t, axis=0)
     return weights, biases
 
 
-@pytest.mark.parametrize("n, labels, seed", [(50, 2, 0), (333, 3, 1), (1200, 2, 2),
-                                             (2000, 3, 3)])
-def test_logistic_fit_matches_the_plain_gradient_step_bit_for_bit(n, labels, seed):
+def _logistic_problem(n, labels, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 4)) * [1.0, 3.0, 0.1, 10.0]
     # separable labels keep the weights growing; with a finite optimum the
     # descent contracts and can wash out a last-bit difference in the step
     y = np.digitize(X[:, 0] + X[:, 2], [-0.5, 0.5][: labels - 1]) - (labels == 3)
+    return X, y
+
+
+LOGISTIC_PROBLEMS = pytest.mark.parametrize("n, labels, seed", [
+    (50, 2, 0), (333, 3, 1), (1200, 2, 2), (2000, 3, 3)])
+
+
+@LOGISTIC_PROBLEMS
+def test_logistic_fit_matches_the_plain_gradient_step_bit_for_bit(n, labels, seed):
+    X, y = _logistic_problem(n, labels, seed)
     m = LogisticRegressionModel(learning_rate=0.3, n_iterations=30).fit(X, y)
     weights, biases = reference_logistic_weights(X, y, 0.3, 30)
     assert np.array_equal(m.weights_, weights) and np.array_equal(m.biases_, biases)
 
 
-def test_scipy_loads_only_when_logistic_regression_runs():
-    # a fresh interpreter: this test module already imported scipy
+@LOGISTIC_PROBLEMS
+def test_logistic_fit_matches_the_stacked_step(n, labels, seed):
+    X, y = _logistic_problem(n, labels, seed)
+    m = LogisticRegressionModel(learning_rate=0.3, n_iterations=30).fit(X, y)
+    weights, biases = stacked_logistic_weights(X, y, 0.3, 30)
+    np.testing.assert_allclose(m.weights_, weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m.biases_, biases, rtol=1e-12, atol=0)
+
+
+def test_sigmoid_saturates_without_warning():
+    # pytest runs with warnings as errors: an exp overflow would fail here
+    z = np.array([-1000.0, 0.0, 1000.0])
+    assert _sigmoid(z).tolist() == [0.0, 0.5, 1.0]
+    d = generate_synthetic_benchmark(n=200, d=3, imbalance_ratio=3, noise_rate=0.05, seed=8)
+    m = fit(ClassifierSpec(kind="logistic-regression", n_iterations=50), d)
+    far = m.mean_ - 1e6 * m.std_ * np.sign(m.weights_[0])   # z far below -709
+    assert predict_proba(m, far[None, :]).tolist() == [[1.0, 0.0]]
+
+
+def test_scipy_never_loads():
+    # a fresh interpreter: pytest's own sys.modules says nothing about the package
     src = Path(imbenhance.__file__).resolve().parent.parent
     code = """
 import sys
-from imbenhance import ClassifierSpec, PipelineConfig, benchmark, fit, predict
+from imbenhance import ClassifierSpec, PipelineConfig, benchmark
 from imbenhance import generate_synthetic_benchmark
 data = generate_synthetic_benchmark(n=120, d=2, imbalance_ratio=4, noise_rate=0.1, seed=0)
-for kind in ("decision-tree", "random-forest"):
-    spec = ClassifierSpec(kind=kind, max_depth=3, n_estimators=3)
+for kind in ("decision-tree", "random-forest", "logistic-regression"):
+    spec = ClassifierSpec(kind=kind, max_depth=3, n_estimators=3, n_iterations=3)
     benchmark(data, PipelineConfig(classifier=spec, benchmark_folds=2, hide_labels=0.3))
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
-predict(fit(ClassifierSpec(kind="logistic-regression", n_iterations=3), data), data)
-assert "scipy.special" in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

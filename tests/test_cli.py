@@ -356,10 +356,12 @@ def test_metrics_with_prediction_column_and_csv_out(tmp_path):
     ("label,score\n1,0.9\n0\n", "non-rectangular row at line 3 (1 fields, expected 2)"),
     ("label,score\n1,0.9\n,0.2\n", "label in row 2 must be a finite integer, got ''"),
     ("label,score\n1,0.9\n0.5,0.2\n", "label in row 2 must be a finite integer, got '0.5'"),
+    ("label,score\n1,0.9\n2,0.8\n0,0.2", "label in row 2 must be 0 or 1, got '2'"),
     ("label,score\n1,inf\n0,0.2\n", "score in row 1 must be a finite number, got 'inf'"),
     ("label,score\n1,0.9\n0,high\n", "score in row 2 must be a finite number, got 'high'"),
     ("label,score,prediction\n1,0.9,1\n0,0.2,\n",
      "prediction in row 2 must be a finite integer, got ''"),
+    ("label,score,prediction\n1,0.9,1\n0,0.2,-1\n", "prediction in row 2 must be 0 or 1, got '-1'"),
 ])
 def test_metrics_names_the_bad_row(tmp_path, capsys, text, message):
     p = tmp_path / "preds.csv"
