@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from operator import attrgetter
 
@@ -11,11 +10,14 @@ import numpy as np
 
 from .data import (
     Preprocessor,
+    _is_missing_marker,
     _parse_column,
     canonicalize_binary,
     generate_synthetic_benchmark,
     load_csv,
+    read_table,
     write_csv,
+    write_table,
 )
 from .metrics import EVAL_CSV_COLUMNS, _eval_report
 from .pipeline import (
@@ -24,7 +26,6 @@ from .pipeline import (
     StageError,
     _benchmark_summary,
     _decision_lines,
-    _write_rows,
     benchmark,
     config_from_mapping,
     emit_report,
@@ -105,10 +106,13 @@ def _prepare_data(cfg: PipelineConfig):
 
     pool = None
     if cfg.unlabeled_path:
-        with open(cfg.unlabeled_path, newline="", encoding="utf-8") as fh:
-            header = [h.strip() for h in next(csv.reader(fh), [])]
-        label_col = cfg.label_column if cfg.label_column in header else None
-        pool = pre.transform(load_csv(cfg.unlabeled_path, label_column=label_col))
+        raw = load_csv(cfg.unlabeled_path)
+        if cfg.label_column in raw.feature_names:  # transform ignores columns outside its plan
+            raw = raw.with_labels(raw.features[:, raw.feature_names.index(cfg.label_column)])
+        try:
+            pool = pre.transform(raw)
+        except ValueError as exc:
+            raise ValueError(f"{cfg.unlabeled_path}: {exc}") from exc
         if pool.labels is not None:
             pool = pool.with_labels(np.array([mapping.get(int(v), -1) for v in pool.labels],
                                              dtype=int))
@@ -165,25 +169,25 @@ def _numbers(path, cells: dict, name: str, binary: bool = False) -> np.ndarray:
         if np.any(wrong):
             i = int(np.argmax(wrong))
             raise ValueError(f"{path}: {name} in row {i + 1} must be {what}, "
-                             f"got {cells[name][i] or ''!r}")
+                             f"got {cells[name][i]!r}")
     return values.astype(int) if binary else values
 
 
 def cmd_metrics(args) -> int:
-    raw = load_csv(args.predictions)
-    if raw.n_rows == 0:
+    header, rows = read_table(args.predictions)
+    if not rows:
         raise ValueError(f"{args.predictions}: no data rows")
-    cells = dict(zip(raw.feature_names, raw.features.T))
+    cells = dict(zip(header, zip(*rows)))
     labels = _numbers(args.predictions, cells, "label", binary=True)
     scores = _numbers(args.predictions, cells, "score")
-    if "prediction" in cells and cells["prediction"][0] is not None:
+    if "prediction" in cells and not _is_missing_marker(cells["prediction"][0]):
         preds = _numbers(args.predictions, cells, "prediction", binary=True)
     else:
         preds = (scores >= args.threshold).astype(int)
     report = _eval_report(labels, scores, preds, args.threshold)
     print(report.to_text())
     if args.out:
-        _write_rows(args.out, EVAL_CSV_COLUMNS, [report.to_csv_row()])
+        write_table(args.out, EVAL_CSV_COLUMNS, [report.to_csv_row()])
     return 0
 
 

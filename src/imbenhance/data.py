@@ -137,14 +137,10 @@ def concat_datasets(parts: list[Dataset]) -> Dataset:
                    provenance=np.concatenate([p.provenance for p in parts]))
 
 
-def load_csv(path, label_column: str | None = None, schema_hints: dict | None = None) -> Dataset:
-    """Read a comma-delimited file with a header row into a raw Dataset.
-
-    Missing cells (empty, "NA", "NaN", any case) become ``None``. A column
-    literally named ``provenance`` is peeled off into row tags instead of
-    features. ``schema_hints`` maps column name -> "numeric"/"categorical"
-    and is honored later by preprocessing.
-    """
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of a comma-delimited UTF-8 file, every cell
+    stripped. An unreadable or empty file, or a row whose field count differs
+    from the header's, is an error naming the file."""
     path = Path(path)
     try:
         fh = path.open(newline="", encoding="utf-8")
@@ -163,7 +159,19 @@ def load_csv(path, label_column: str | None = None, schema_hints: dict | None = 
                 raise ValueError(f"{path}: non-rectangular row at line {i} "
                                  f"({len(row)} fields, expected {len(header)})")
             rows.append([c.strip() for c in row])
+    return header, rows
 
+
+def load_csv(path, label_column: str | None = None, schema_hints: dict | None = None) -> Dataset:
+    """Read a comma-delimited file with a header row into a raw Dataset.
+
+    Missing cells (empty, "NA", "NaN", any case) become ``None``. A column
+    literally named ``provenance`` is peeled off into row tags instead of
+    features. ``schema_hints`` maps column name -> "numeric"/"categorical"
+    and is honored later by preprocessing.
+    """
+    path = Path(path)
+    header, rows = read_table(path)
     if label_column is not None and label_column not in header:
         raise ValueError(f"label column {label_column!r} not found in {path}")
 
@@ -202,30 +210,25 @@ def load_csv(path, label_column: str | None = None, schema_hints: dict | None = 
 
 def write_csv(d: Dataset, path, label_column: str = "y", include_provenance: bool = True):
     """Write a dataset back to CSV, optionally with a trailing provenance column."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    header, tails = list(d.feature_names), []
+    if d.labels is not None:
+        header.append(label_column)
+        tails.append([int(v) for v in d.labels])
+    if include_provenance:
+        header.append("provenance")
+        tails.append(d.provenance)
+    # one row at a time: a whole-matrix tolist() holds every cell as a Python object
+    write_table(path, header, (row.tolist() + tail for row, *tail in zip(d.features, *tails)))
+
+
+def write_table(path, header: list, rows):
+    """Write ``header`` and then each of ``rows`` as comma-delimited UTF-8.
+    A cell prints as ``str()`` (a float as its shortest round-trip repr), and
+    ``None`` as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.feature_names)
-        if d.labels is not None:
-            header.append(label_column)
-        if include_provenance:
-            header.append("provenance")
         writer.writerow(header)
-        for i in range(d.n_rows):
-            row = [_format_cell(v) for v in d.features[i]]
-            if d.labels is not None:
-                row.append(str(int(d.labels[i])))
-            if include_provenance:
-                row.append(str(d.provenance[i]))
-            writer.writerow(row)
-
-
-def _format_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+        writer.writerows(rows)
 
 
 def _mode_numeric(values: np.ndarray) -> float:
@@ -255,6 +258,13 @@ def _parse_column(col, numeric_input: bool):
     return values, ~np.isfinite(values), all_parsed
 
 
+def _not_a_number(name: str, col) -> ValueError:
+    """The error for the first cell of column ``name`` that is neither a
+    missing marker nor a number; rows count from 1."""
+    i = next(i for i, c in enumerate(col) if not _is_missing_marker(c) and _try_float(c) is None)
+    return ValueError(f"column {name!r}, row {i + 1}: {col[i]!r} is not a number")
+
+
 def _category_strings(col) -> list:
     """Raw cells as strings, with ``None`` for missing cells."""
     return [None if _is_missing_marker(c) else str(c) for c in col]
@@ -272,7 +282,9 @@ class Preprocessor:
 
     Drops columns whose missing fraction exceeds ``missing_drop_threshold``
     (strictly), mode-fills the remaining gaps, and label-encodes non-numeric
-    columns in first-appearance order. The fit keeps one plan entry per kept
+    columns in first-appearance order. Missing and non-finite cells are gaps;
+    in a column read as numbers, any other cell that does not parse is an
+    error naming the column and row. The fit keeps one plan entry per kept
     column, ``(name, kind, fill, codes)``: ``fill`` is the numeric mode or the
     modal category string, and ``codes`` maps categories to codes (None for a
     column parsed as numbers). ``transform`` replays the plan on new data (the
@@ -299,6 +311,8 @@ class Preprocessor:
                 values, missing, all_parsed = _parse_column(col, numeric_input)
                 if kind is None:  # undeclared raw column: numeric iff every cell parses
                     kind = "numeric" if all_parsed else "categorical"
+                elif not all_parsed:
+                    raise _not_a_number(name, col)
             if kind == "categorical":
                 strings = _category_strings(col)
                 present = [s for s in strings if s is not None]
@@ -335,7 +349,9 @@ class Preprocessor:
                 columns.append(_encode_categories(_category_strings(col), fill, dict(codes)))
             else:
                 # encoded columns given as numbers fill with the fitted mode's code
-                values, missing, _ = _parse_column(col, numeric_input)
+                values, missing, all_parsed = _parse_column(col, numeric_input)
+                if not all_parsed:
+                    raise _not_a_number(name, col)
                 columns.append(np.where(missing, fill if codes is None else codes[fill], values))
         codes = None if self._label_codes is None else dict(self._label_codes)
         return self._output(raw, columns, codes)

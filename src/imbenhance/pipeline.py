@@ -3,7 +3,6 @@ the cross-validated before/after benchmark, and report emission."""
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from contextlib import contextmanager
@@ -22,6 +21,7 @@ from .data import (
     concat_datasets,
     stratified_split,
     write_csv,
+    write_table,
 )
 from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, filter_sweep
 from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate
@@ -458,14 +458,6 @@ def _distribution_summary(name: str, d: Dataset) -> str:
     return "\n".join(lines)
 
 
-def _write_rows(path, header: list, rows: list):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _report_rows(reports: list[EvalReport]) -> list:
     rows = [[f"fold{i}"] + r.to_csv_row() for i, r in enumerate(reports)]
     if reports:
@@ -534,14 +526,14 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
         if result.synthesis is not None:
             race_rows = [[name, f1, "chosen" if name == result.synthesis.chosen_technique else ""]
                          for name, f1 in result.synthesis.f1_scores]
-        _write_rows(record(out / "synthesis_race.csv"),
+        write_table(record(out / "synthesis_race.csv"),
                     ["technique", "f1", "chosen"], race_rows)
 
         sweep_rows = []
         if result.filtering is not None:
             sweep_rows = [[e.threshold, e.f1, e.kept_count, e.filtered_out_count,
                            e.retained_count] for e in result.filtering.table]
-        _write_rows(record(out / "filter_sweep.csv"),
+        write_table(record(out / "filter_sweep.csv"),
                     ["threshold", "f1", "kept_count", "filtered_out_count", "retained_count"],
                     sweep_rows)
 
@@ -549,7 +541,7 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
         if result.selflearn is not None:
             log_rows = [[result.selflearn.strategy_used] + [e.get(c, "") for c in LOG_COLUMNS]
                         for e in result.selflearn.log]
-        _write_rows(record(out / "selflearn_log.csv"), ["strategy", *LOG_COLUMNS], log_rows)
+        write_table(record(out / "selflearn_log.csv"), ["strategy", *LOG_COLUMNS], log_rows)
 
         lines = [_distribution_summary("input", result.input_data)]
         lines.append(_distribution_summary("augmented", result.aug))
@@ -560,9 +552,9 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
 
     if reports is not None:
         header = ["fold"] + EVAL_CSV_COLUMNS
-        _write_rows(record(out / "benchmark_baseline.csv"), header,
+        write_table(record(out / "benchmark_baseline.csv"), header,
                     _report_rows(reports.baseline))
-        _write_rows(record(out / "benchmark_enhanced.csv"), header,
+        write_table(record(out / "benchmark_enhanced.csv"), header,
                     _report_rows(reports.enhanced))
         (record(out / "benchmark_summary.txt")).write_text(_benchmark_summary(reports),
                                                            encoding="utf-8")

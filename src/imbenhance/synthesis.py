@@ -13,10 +13,11 @@ from .classifiers import ClassifierSpec, TrainedModel, fit, predict
 from .data import (
     Dataset,
     SplitSpec,
+    _is_missing_marker,
     _parse_column,
     class_stats,
     concat_datasets,
-    load_csv,
+    read_table,
     stratified_split,
 )
 from .metrics import f1_score
@@ -134,20 +135,21 @@ class ReplayFileTechnique:
         self.name = f"replay:{self.path.name}"
 
     def generate(self, train: Dataset, seed: int) -> Dataset:
-        raw = load_csv(self.path, label_column=None)
-        name_to_col = {n: j for j, n in enumerate(raw.feature_names)}
+        header, table = read_table(self.path)
+        name_to_col = {n: j for j, n in enumerate(header)}
         cols = []
         for name in train.feature_names:
             if name not in name_to_col:
                 raise ValueError(f"replay file {self.path} lacks column {name!r}")
-            col = raw.features[:, name_to_col[name]]
+            col = [row[name_to_col[name]] for row in table]
             values, missing, _ = _parse_column(col, numeric_input=False)
             if missing.any():
                 i = int(np.argmax(missing))
-                what = "missing value" if col[i] is None else f"{col[i]!r} is not a finite number"
+                what = ("missing value" if _is_missing_marker(col[i])
+                        else f"{col[i]!r} is not a finite number")
                 raise ValueError(f"replay file {self.path}: column {name!r}, line {i + 2}: {what}")
             cols.append(values)
-        rows = np.column_stack(cols) if cols else np.empty((raw.n_rows, 0))
+        rows = np.column_stack(cols) if cols else np.empty((len(table), 0))
         minority, _, _ = _minority_info(train)
         return _as_synthetic(train, rows, minority)
 

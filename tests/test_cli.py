@@ -144,6 +144,24 @@ def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {pool}: empty file, header row required\n"
 
 
+def test_missing_pool_file_fails_as_unreadable(small_csv, tmp_path, capsys):
+    pool = tmp_path / "nope.csv"
+    code = run_cli("enhance", str(small_csv), "--unlabeled", str(pool),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable file {pool}: ")
+
+
+def test_pool_cell_that_is_not_a_number_fails_naming_file_column_and_row(small_csv, tmp_path,
+                                                                          capsys):
+    pool = tmp_path / "pool.csv"
+    pool.write_text("f0,f1,f2\n0.5,1.5,2.5\nabc,NA,inf\n")
+    code = run_cli("enhance", str(small_csv), "--unlabeled", str(pool),
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pool}: column 'f0', row 2: 'abc' is not a number\n"
+
+
 def test_enhance_missing_input_fails(tmp_path, capsys):
     code = run_cli("enhance", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -355,6 +373,7 @@ def test_metrics_with_prediction_column_and_csv_out(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("label,score\n1,0.9\n0\n", "non-rectangular row at line 3 (1 fields, expected 2)"),
     ("label,score\n1,0.9\n,0.2\n", "label in row 2 must be a finite integer, got ''"),
+    ("label,score\n1,0.9\nNA,0.2\n", "label in row 2 must be a finite integer, got 'NA'"),
     ("label,score\n1,0.9\n0.5,0.2\n", "label in row 2 must be a finite integer, got '0.5'"),
     ("label,score\n1,0.9\n2,0.8\n0,0.2", "label in row 2 must be 0 or 1, got '2'"),
     ("label,score\n1,inf\n0,0.2\n", "score in row 1 must be a finite number, got 'inf'"),
@@ -368,6 +387,16 @@ def test_metrics_names_the_bad_row(tmp_path, capsys, text, message):
     p.write_text(text)
     assert run_cli("metrics", str(p)) == 1
     assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_metrics_ignores_a_free_text_provenance_column(tmp_path, capsys):
+    plain, tagged = tmp_path / "plain.csv", tmp_path / "tagged.csv"
+    plain.write_text("label,score\n1,0.9\n0,0.8\n")
+    tagged.write_text("label,score,provenance\n1,0.9,a\n0,0.8,b\n")
+    assert run_cli("metrics", str(plain)) == 0
+    expected = capsys.readouterr().out
+    assert run_cli("metrics", str(tagged)) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_metrics_missing_column(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imbenhance import data
@@ -81,6 +83,19 @@ def test_csv_roundtrip_with_provenance(tmp_path):
     assert np.array_equal(pre.labels, d.labels)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+@example([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, sys.float_info.max])
+def test_written_floats_read_as_their_repr_and_round_trip(tmp_path_factory, values):
+    d = make_labeled([[v] for v in values], [i % 2 for i in range(len(values))])
+    first, second = (tmp_path_factory.mktemp("csv") / name for name in ("a.csv", "b.csv"))
+    write_csv(d, first, label_column="y")
+    assert [line.split(",")[0] for line in first.read_text().splitlines()[1:]] == \
+        [repr(float(v)) for v in values]
+    write_csv(preprocess(load_csv(first, label_column="y")), second, label_column="y")
+    assert second.read_bytes() == first.read_bytes()
+
+
 # -------------------------------------------------------------- preprocess
 
 def test_preprocess_drops_column_over_half_missing():
@@ -101,6 +116,20 @@ def test_preprocess_mode_fill_numeric():
     X = np.array([["1"], [None], ["1"], ["2"]], dtype=object)
     out = preprocess(Dataset(features=X))
     assert list(out.features[:, 0]) == [1.0, 1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("kind", ["numeric", "categorical-encoded"])
+def test_column_read_as_numbers_refuses_a_cell_that_is_not_one(kind):
+    cells = ["1", "inf", "1e999", "NA", None, "2", "1", "1", "3"]  # four gaps of nine
+    gaps = Dataset(features=np.array(cells, dtype=object)[:, None], column_kinds=[kind])
+    pre = Preprocessor()
+    assert list(pre.fit_transform(gaps).features[:, 0]) == [1, 1, 1, 1, 1, 2, 1, 1, 3]
+    bad = Dataset(features=np.array([["1"], ["abc"], ["x"]], dtype=object), column_kinds=[kind])
+    message = r"^column 'f0', row 2: 'abc' is not a number$"
+    with pytest.raises(ValueError, match=message):
+        Preprocessor().fit_transform(bad)
+    with pytest.raises(ValueError, match=message):
+        pre.transform(bad)
 
 
 def test_preprocess_mode_tiebreak_smallest():

@@ -1,4 +1,5 @@
-"""The package's third-party imports and pyproject.toml's dependency list agree."""
+"""The package's imports: third-party ones match pyproject.toml's dependency
+list, and CSV text is handled in one module."""
 
 import ast
 import re
@@ -7,26 +8,29 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "imbenhance"
 
 
-def third_party_imports() -> set[str]:
-    """Top-level names of every absolute import in the package, lazy ones
-    included, less the standard library and the package itself."""
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of every absolute import in one module, lazy ones included."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def third_party_imports() -> set[str]:
+    """Every module's absolute imports, less the standard library and the package itself."""
+    names = set().union(*(absolute_imports(path) for path in PACKAGE.glob("*.py")))
     return names - set(sys.stdlib_module_names) - {PACKAGE.name}
 
 
 def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
             for req in project["dependencies"]}
@@ -36,3 +40,8 @@ def test_package_imports_are_the_declared_dependencies():
     imported = third_party_imports()
     assert imported, "the package imports numpy at least"
     assert imported == declared_dependencies()
+
+
+def test_only_data_imports_csv():
+    assert {path.name for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)} \
+        == {"data.py"}

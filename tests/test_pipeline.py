@@ -218,6 +218,29 @@ def test_enhanced_contains_filtered_rows_in_auto_mode():
         assert row in enhanced_rows  # holdout rows returned to the final dataset
 
 
+@settings(max_examples=40, deadline=None)
+@given(entry=st.sampled_from(["run_pipeline", "benchmark"]),
+       strategy=st.sampled_from(["auto", "kfulf", "dds"]),
+       hide=st.sampled_from([0.1, 0.3, 0.5]), seed=st.integers(0, 1000))
+def test_pseudo_labels_are_binary_counted_in_range_and_deterministic(entry, strategy, hide, seed):
+    d = bench_data(n=160, seed=seed, d=2, imbalance_ratio=4)
+    cfg = quick_cfg(classifier=ClassifierSpec(kind="decision-tree", max_depth=3),
+                    strategy=strategy, hide_labels=hide, seed=seed)
+
+    def results():
+        if entry == "run_pipeline":
+            return [run_pipeline(d, None, cfg)]
+        return benchmark(d, cfg).pipeline_results
+
+    for result, again in zip(results(), results(), strict=True):
+        assert set(np.unique(result.enhanced.labels).tolist()) <= {0, 1}
+        outcome = result.selflearn
+        assert np.sum(result.enhanced.provenance == "pseudo-labeled") == outcome.pseudo_count
+        assert len(np.unique(outcome.pseudo_indices)) == len(outcome.pseudo_indices)
+        assert np.all(outcome.pseudo_indices < result.pool_size)
+        assert again.enhanced.equals(result.enhanced)
+
+
 # ---------------------------------------------------------------- benchmark
 
 def test_benchmark_identity_pipeline_matches_baseline():
