@@ -180,7 +180,7 @@ def cmd_metrics(args) -> int:
     cells = dict(zip(header, zip(*rows)))
     labels = _numbers(args.predictions, cells, "label", binary=True)
     scores = _numbers(args.predictions, cells, "score")
-    if "prediction" in cells and not _is_missing_marker(cells["prediction"][0]):
+    if "prediction" in cells and not all(map(_is_missing_marker, cells["prediction"])):
         preds = _numbers(args.predictions, cells, "prediction", binary=True)
     else:
         preds = (scores >= args.threshold).astype(int)

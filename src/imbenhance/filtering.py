@@ -8,9 +8,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
+from .classifiers import ClassifierSpec, TrainedModel, fit, predict_proba
 from .data import ClassStats, Dataset, concat_datasets, largest_remainder
-from .metrics import f1_score
+from .metrics import decision_f1, first_best
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(10))  # 0.0 .. 0.9
 
@@ -95,7 +95,7 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
     deltas = margins(m, aug)
 
     table: list[SweepEntry] = []
-    best = None  # (f1, threshold, dataset, model, retained_counts)
+    best = None  # (threshold, dataset, model, retained rows)
     for t in grid:
         keep_idx = np.flatnonzero(deltas >= t)
         if table and table[-1].kept_count == len(keep_idx):
@@ -105,27 +105,22 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
             continue
         out_idx = np.flatnonzero(deltas < t)
         kept = aug.take(keep_idx)
-        retained = None
-        if retention and len(out_idx) > 0:
-            retained = retain_by_class(aug.take(out_idx), original_stats, deltas[out_idx])
-        candidate = concat_datasets([kept, retained]) if retained is not None and retained.n_rows \
-            else kept
-        n_retained = 0 if retained is None else retained.n_rows
+        retained = (retain_by_class(aug.take(out_idx), original_stats, deltas[out_idx])
+                    if retention else aug.take([]))
+        candidate = concat_datasets([kept, retained]) if retained.n_rows else kept
 
         if candidate.n_rows == 0 or len(np.unique(candidate.labels)) < 2:
-            table.append(SweepEntry(t, -1.0, len(keep_idx), len(out_idx), n_retained))
+            table.append(SweepEntry(t, -1.0, len(keep_idx), len(out_idx), retained.n_rows))
             continue
         model = fit(classifier_spec, candidate)
-        preds = predict(model, mis, threshold=0.5)
-        f1 = f1_score(mis.labels, preds)
-        table.append(SweepEntry(t, f1, len(keep_idx), len(out_idx), n_retained))
-        if best is None or f1 > best[0]:  # grid is ascending, so ties keep the smaller t
-            counts = {} if retained is None else {
-                int(c): int(np.sum(retained.labels == c)) for c in np.unique(retained.labels)}
-            best = (f1, t, candidate, model, counts)
+        table.append(SweepEntry(t, decision_f1(model, mis), len(keep_idx), len(out_idx),
+                                retained.n_rows))
+        if first_best([e.f1 for e in table]) == len(table) - 1:  # grid is ascending
+            best = (t, candidate, model, retained)
 
     if best is None:
         raise ValueError("every threshold produced an empty or single-class dataset")
-    f1, t, candidate, model, counts = best
+    t, candidate, model, retained = best
+    counts = {int(c): int(np.sum(retained.labels == c)) for c in np.unique(retained.labels)}
     return FilterOutcome(filtered=candidate, chosen_threshold=t, table=table,
                          retained_counts=counts, model=model)

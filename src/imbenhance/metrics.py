@@ -88,6 +88,16 @@ def f1_score(labels, predictions) -> float:
     return precision_recall_f1(confusion(labels, predictions))[2]
 
 
+def decision_f1(m: TrainedModel, d: Dataset) -> float:
+    """F1 of ``m``'s predictions at threshold 0.5 on ``d``: every stage's decision score."""
+    return f1_score(d.labels, predict(m, d, threshold=0.5))
+
+
+def first_best(scores) -> int:
+    """Index of the highest score, the first one on a tie: the pipeline's one tie rule."""
+    return int(np.argmax(scores))
+
+
 def _roc_points(labels, scores):
     """TPR/FPR at every distinct score threshold, starting from the (0, 0) sentinel."""
     y = _check_binary(labels, "labels")

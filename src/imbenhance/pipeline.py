@@ -24,7 +24,7 @@ from .data import (
     write_table,
 )
 from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, filter_sweep
-from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate
+from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate, first_best
 from .selflearn import (
     LOG_COLUMNS,
     PseudoLabelConfig,
@@ -39,6 +39,7 @@ from .synthesis import (
     SmoteTechnique,
     SynthesisOutcome,
     meta_synthesize,
+    split_by_error,
 )
 
 METRIC_NAMES = EVAL_CSV_COLUMNS[:6]
@@ -213,8 +214,7 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
                 tr, val = stratified_split(work, SplitSpec(
                     mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
                 model = fit(cfg.classifier, tr)
-                preds = predict(model, val, threshold=0.5)
-                mis = val.take(np.flatnonzero(preds != val.labels))
+                _, mis = split_by_error(model, val)
             if mis.n_rows == 0:
                 result.notes.append(
                     "filtering skipped: no misclassified validation rows to score against")
@@ -524,8 +524,10 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
 
         race_rows = []
         if result.synthesis is not None:
-            race_rows = [[name, f1, "chosen" if name == result.synthesis.chosen_technique else ""]
-                         for name, f1 in result.synthesis.f1_scores]
+            race = result.synthesis.f1_scores
+            best = first_best([f1 for _, f1 in race])
+            race_rows = [[name, f1, "chosen" if i == best else ""]
+                         for i, (name, f1) in enumerate(race)]
         write_table(record(out / "synthesis_race.csv"),
                     ["technique", "f1", "chosen"], race_rows)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
 from .data import Dataset, concat_datasets
-from .metrics import f1_score
+from .metrics import decision_f1, first_best
 
 # Abstention label KFULF gives out-of-fold pool rows; never in the output.
 ARTIFICIAL_LABEL = -1
@@ -69,11 +69,6 @@ def _outcome(train: Dataset, unlabeled: Dataset, strategy: str, indices: list,
                             pseudo_count=len(pseudo_idx), log=log,
                             pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl,
                             model=model)
-
-
-def _f1(model, ds: Dataset) -> float:
-    """F1 of ``model``'s predictions at threshold 0.5 against ``ds``'s labels."""
-    return f1_score(ds.labels, predict(model, ds, threshold=0.5))
 
 
 def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSpec,
@@ -134,7 +129,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         return _outcome(train, unlabeled, "DDS", [], [], [{"event": "empty unlabeled pool"}])
 
     model = kept_model = fit(classifier_spec, train)
-    f1_base = _f1(model, train)
+    f1_base = decision_f1(model, train)
     pool_ids = np.arange(unlabeled.n_rows)
     accepted_idx: list[int] = []
     accepted_labels: list[int] = []
@@ -157,8 +152,8 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         tmp = concat_datasets(tmp_parts)
 
         model = fit(classifier_spec, tmp)
-        f1_new = _f1(model, tmp)
-        accepted = f1_new > f1_base
+        f1_new = decision_f1(model, tmp)
+        accepted = first_best([f1_base, f1_new]) == 1
         log.append({"event": "iteration", "index": iterations,
                     "pool_size": int(len(pool_ids)), "selected": int(len(top)),
                     "f1_base": float(f1_base), "f1_new": float(f1_new),
@@ -186,8 +181,8 @@ def select_strategy(train: Dataset, unlabeled: Dataset | None,
         raise ValueError("selection holdout must be labeled")
     outcomes = [kfulf(train, unlabeled, classifier_spec, cfg),
                 dds(train, unlabeled, classifier_spec, cfg)]
-    scores = [_f1(o.model or fit(classifier_spec, o.enhanced), selection_holdout)
+    scores = [decision_f1(o.model or fit(classifier_spec, o.enhanced), selection_holdout)
               for o in outcomes]
-    winner = outcomes[int(np.argmax(scores))]  # first max wins ties
+    winner = outcomes[first_best(scores)]
     winner.selection_f1 = {o.strategy_used: float(s) for o, s in zip(outcomes, scores)}
     return winner

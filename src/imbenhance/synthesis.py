@@ -20,7 +20,7 @@ from .data import (
     read_table,
     stratified_split,
 )
-from .metrics import f1_score
+from .metrics import decision_f1, first_best
 
 # Elements of one block's difference tensor in SMOTE's neighbour search (1 MB).
 _NEIGHBOR_BLOCK_ELEMENTS = 2**17
@@ -154,6 +154,13 @@ class ReplayFileTechnique:
         return _as_synthetic(train, rows, minority)
 
 
+def split_by_error(m: TrainedModel, val: Dataset) -> tuple[Dataset, Dataset]:
+    """The rows of ``val`` that ``m`` predicts right at 0.5, as validation-merged, and the rest."""
+    right = predict(m, val, threshold=0.5) == val.labels
+    return (val.take(np.flatnonzero(right)).with_provenance("validation-merged"),
+            val.take(np.flatnonzero(~right)))
+
+
 @dataclass
 class SynthesisOutcome:
     """Augmented training data plus the validation leftovers and race results."""
@@ -170,10 +177,10 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     """Race the synthesis techniques on a stratified holdout and keep the best.
 
     For each technique: generate minority rows from the training part, train,
-    score F1 on the validation part. The argmax wins (ties to list order); the
-    winner is regenerated and retrained, correctly-classified validation rows
-    are merged into the augmented set, and the misclassified ones are returned
-    separately for the filtering stage.
+    score F1 on the validation part. The first highest F1 wins; the winner is
+    regenerated and retrained, correctly-classified validation rows are merged
+    into the augmented set, and the misclassified ones are returned separately
+    for the filtering stage.
     """
     if not techniques:
         raise ValueError("technique list is empty")
@@ -184,21 +191,12 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     def run(technique, tech_index):
         syn = technique.generate(train, seed=split.seed + tech_index)
         aug = concat_datasets([train, syn])
-        model = fit(classifier_spec, aug)
-        preds = predict(model, val, threshold=0.5)
-        return aug, model, preds, f1_score(val.labels, preds)
+        return aug, fit(classifier_spec, aug)
 
-    f1s = []
-    for i, tech in enumerate(techniques):
-        _, _, _, f1 = run(tech, i)
-        f1s.append((tech.name, f1))
-
-    best = int(np.argmax([f1 for _, f1 in f1s]))
-    aug, model, preds, _ = run(techniques[best], best)
-
-    correct_mask = preds == val.labels
-    correct = val.take(np.flatnonzero(correct_mask)).with_provenance("validation-merged")
-    mis = val.take(np.flatnonzero(~correct_mask))
+    f1s = [(tech.name, decision_f1(run(tech, i)[1], val)) for i, tech in enumerate(techniques)]
+    best = first_best([f1 for _, f1 in f1s])
+    aug, model = run(techniques[best], best)
+    correct, mis = split_by_error(model, val)
     return SynthesisOutcome(augmented=concat_datasets([aug, correct]),
                             misclassified=mis,
                             chosen_technique=techniques[best].name,

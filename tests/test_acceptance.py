@@ -268,7 +268,7 @@ def test_c06_dds_invariants(monkeypatch):
     pool = Dataset(features=np.arange(100, dtype=float).reshape(100, 1))
     monkeypatch.setattr(selflearn, "fit", lambda spec, ds: _Const())
     scripted = iter([0.2, 0.5, 0.7, 0.6])  # base, then +,+,stop
-    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(scripted))
+    monkeypatch.setattr(selflearn, "decision_f1", lambda model, ds: next(scripted))
     out = dds(train, pool, ClassifierSpec(), PseudoLabelConfig(target_percentage=0.30))
     assert [e["selected"] for e in out.log] == [30, 21, 15]
     assert [e["accepted"] for e in out.log] == [True, True, False]
@@ -278,7 +278,7 @@ def test_c06_dds_invariants(monkeypatch):
     assert len(out.log) == 3  # halted on the first non-improvement
 
     rising = iter(0.1 + 0.001 * np.arange(10_000))
-    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: float(next(rising)))
+    monkeypatch.setattr(selflearn, "decision_f1", lambda model, ds: float(next(rising)))
     capped = dds(train, Dataset(features=np.arange(500, dtype=float).reshape(500, 1)),
                  ClassifierSpec(), PseudoLabelConfig(target_percentage=0.01,
                                                      max_iterations=7))

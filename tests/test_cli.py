@@ -381,12 +381,24 @@ def test_metrics_with_prediction_column_and_csv_out(tmp_path):
     ("label,score,prediction\n1,0.9,1\n0,0.2,\n",
      "prediction in row 2 must be a finite integer, got ''"),
     ("label,score,prediction\n1,0.9,1\n0,0.2,-1\n", "prediction in row 2 must be 0 or 1, got '-1'"),
+    ("label,score,prediction\n1,0.9,\n0,0.2,1\n1,0.3,0\n",
+     "prediction in row 1 must be a finite integer, got ''"),
 ])
 def test_metrics_names_the_bad_row(tmp_path, capsys, text, message):
     p = tmp_path / "preds.csv"
     p.write_text(text)
     assert run_cli("metrics", str(p)) == 1
     assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+def test_metrics_thresholds_the_score_when_every_prediction_cell_is_blank(tmp_path, capsys):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("label,score\n1,0.9\n0,0.8\n")
+    blank.write_text("label,score,prediction\n1,0.9,\n0,0.8,NA\n")
+    assert run_cli("metrics", str(plain)) == 0
+    expected = capsys.readouterr().out
+    assert run_cli("metrics", str(blank)) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_metrics_ignores_a_free_text_provenance_column(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, and CSV text is handled in one module."""
+list, CSV text is handled in one module, and F1 is scored in one module."""
 
 import ast
 import re
@@ -45,3 +45,24 @@ def test_package_imports_are_the_declared_dependencies():
 def test_only_data_imports_csv():
     assert {path.name for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)} \
         == {"data.py"}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name one module defines, imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_metrics_references_f1_score():
+    """Stages score through ``metrics.decision_f1``; a second scorer would be a second rule."""
+    assert {path.name for path in PACKAGE.glob("*.py") if "f1_score" in referenced_names(path)} \
+        == {"metrics.py"}

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,57 @@ def test_pseudo_labels_are_binary_counted_in_range_and_deterministic(entry, stra
         assert len(np.unique(outcome.pseudo_indices)) == len(outcome.pseudo_indices)
         assert np.all(outcome.pseudo_indices < result.pool_size)
         assert again.enhanced.equals(result.enhanced)
+
+
+def first_max(values):
+    """Index of the first highest value, written without the library's tie rule."""
+    return values.index(max(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategy=st.sampled_from(["auto", "kfulf", "dds"]), retention=st.booleans(),
+       hide=st.sampled_from([0.0, 0.2, 0.4]), seed=st.integers(0, 1000))
+def test_each_choice_is_the_first_best_and_provenance_adds_up(strategy, retention, hide, seed):
+    d = bench_data(n=160, seed=seed, d=2, imbalance_ratio=4)
+    cfg = quick_cfg(classifier=ClassifierSpec(kind="decision-tree", max_depth=3),
+                    strategy=strategy, retention=retention, hide_labels=hide, seed=seed)
+    result = run_pipeline(d, None, cfg)
+
+    race = result.synthesis
+    assert race.chosen_technique == race.f1_scores[first_max([f1 for _, f1 in race.f1_scores])][0]
+    kept = np.isin(result.aug.provenance, ["original", "validation-merged"])
+    assert np.sum(kept) + race.misclassified.n_rows == result.input_data.n_rows
+
+    filtered = Counter(result.filtered.provenance.tolist())
+    if result.filtering is not None:
+        table = result.filtering.table
+        chosen = table[first_max([e.f1 for e in table])]
+        assert result.filtering.chosen_threshold == chosen.threshold
+        assert result.filtered.n_rows == chosen.kept_count + chosen.retained_count
+        assert filtered["retained"] == sum(result.filtering.retained_counts.values())
+
+    outcome = result.selflearn
+    pseudo = 0 if outcome is None else outcome.pseudo_count
+    assert Counter(result.enhanced.provenance.tolist()) \
+        == filtered + Counter({"pseudo-labeled": pseudo})
+    if outcome is None:
+        return
+    for entry in outcome.log:
+        if entry.get("event") == "iteration":
+            assert entry["accepted"] == (entry["f1_new"] > entry["f1_base"])
+    if outcome.selection_f1:
+        names, scores = zip(*outcome.selection_f1.items())
+        assert outcome.strategy_used == names[first_max(list(scores))]
+
+
+def test_race_report_marks_only_the_first_best_of_repeated_names(tmp_path):
+    cfg = quick_cfg(techniques=["smote", "smote"])
+    emit_report(run_pipeline(bench_data(seed=16), None, cfg), None, tmp_path, cfg)
+    rows = [line.split(",") for line in
+            (tmp_path / "synthesis_race.csv").read_text().splitlines()[1:]]
+    assert [name for name, _, _ in rows] == ["smote", "smote"]
+    f1s = [float(f1) for _, f1, _ in rows]
+    assert [i for i, (_, _, mark) in enumerate(rows) if mark == "chosen"] == [first_max(f1s)]
 
 
 # ---------------------------------------------------------------- benchmark

@@ -129,7 +129,7 @@ def script_dds(monkeypatch, f1_values):
     """Every DDS fit returns ConstantModel and its F1 reads the next scripted value."""
     seq = iter(f1_values)
     monkeypatch.setattr(selflearn, "fit", lambda spec, ds: ConstantModel())
-    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(seq))
+    monkeypatch.setattr(selflearn, "decision_f1", lambda model, ds: next(seq))
 
 
 def test_dds_selection_counts_and_acceptance(monkeypatch):
@@ -219,7 +219,7 @@ def rig_strategies(monkeypatch, holdout_f1s):
     monkeypatch.setattr(selflearn, "dds", rigged_strategy("DDS"))
     seq = iter(holdout_f1s)
     monkeypatch.setattr(selflearn, "fit", lambda spec, ds: ConstantModel())
-    monkeypatch.setattr(selflearn, "f1_score", lambda y_true, y_pred: next(seq))
+    monkeypatch.setattr(selflearn, "decision_f1", lambda model, ds: next(seq))
 
 
 def test_select_strategy_rigged_scores_pick_dds(monkeypatch):
