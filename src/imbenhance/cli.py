@@ -10,24 +10,24 @@ import numpy as np
 
 from .data import (
     Preprocessor,
-    _is_missing_marker,
-    _parse_column,
     canonicalize_binary,
     generate_synthetic_benchmark,
+    is_missing,
     load_csv,
+    read_numbers,
     read_table,
     write_csv,
     write_table,
 )
-from .metrics import EVAL_CSV_COLUMNS, _eval_report
+from .metrics import EVAL_CSV_COLUMNS, score_report
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
     StageError,
-    _benchmark_summary,
-    _decision_lines,
     benchmark,
+    benchmark_summary,
     config_from_mapping,
+    decision_lines,
     emit_report,
     parse_config_file,
     run_pipeline,
@@ -101,21 +101,26 @@ def _prepare_data(cfg: PipelineConfig):
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
     pre = Preprocessor()
-    clean = pre.fit_transform(raw)
-    ds, mapping = canonicalize_binary(clean, cfg.positive_label)
+    try:
+        ds, mapping = canonicalize_binary(pre.fit_transform(raw), cfg.positive_label)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.input_path}: {exc}") from exc
 
     pool = None
     if cfg.unlabeled_path:
-        raw = load_csv(cfg.unlabeled_path)
-        if cfg.label_column in raw.feature_names:  # transform ignores columns outside its plan
-            raw = raw.with_labels(raw.features[:, raw.feature_names.index(cfg.label_column)])
+        pool_raw = load_csv(cfg.unlabeled_path)
+        if cfg.label_column in pool_raw.feature_names:  # transform ignores columns outside its plan
+            cells = pool_raw.features[:, pool_raw.feature_names.index(cfg.label_column)]
+            # a blank is unknown truth: it passes transform as a fitted label, then reads -1
+            blank = np.array([c is None for c in cells], dtype=bool)
+            pool_raw = pool_raw.with_labels(np.where(blank, raw.labels[0], cells))
         try:
-            pool = pre.transform(raw)
+            pool = pre.transform(pool_raw)
         except ValueError as exc:
             raise ValueError(f"{cfg.unlabeled_path}: {exc}") from exc
         if pool.labels is not None:
-            pool = pool.with_labels(np.array([mapping.get(int(v), -1) for v in pool.labels],
-                                             dtype=int))
+            truth = [mapping.get(int(v), -1) for v in pool.labels]
+            pool = pool.with_labels(np.where(blank, -1, truth))
     return ds, pool, mapping
 
 
@@ -128,7 +133,7 @@ def cmd_enhance(args) -> int:
     emit_report(result, None, args.out, cfg)
     for stage, ms in result.timings_ms.items():
         print(f"{stage}: {ms:.1f} ms")
-    for line in _decision_lines(result):
+    for line in decision_lines(result):
         print(line)
     print(f"report written to {args.out}")
     return 0
@@ -139,7 +144,7 @@ def cmd_benchmark(args) -> int:
     ds, pool, _ = _prepare_data(cfg)
     bench = benchmark(ds, cfg, unlabeled=pool)
     emit_report(None, bench, args.out, cfg)
-    print(_benchmark_summary(bench), end="")
+    print(benchmark_summary(bench), end="")
     print(f"report written to {args.out}")
     return 0
 
@@ -160,16 +165,10 @@ def _numbers(path, cells: dict, name: str, binary: bool = False) -> np.ndarray:
     that is not one is an error naming its data row, counted from 1."""
     if name not in cells:
         raise ValueError(f"{path}: column {name!r} required")
-    values, bad, _ = _parse_column(cells[name], numeric_input=False)
-    checks = [(bad, "a finite number")]
-    if binary:
-        checks = [(bad | (values != np.floor(values)), "a finite integer"),
-                  ((values != 0) & (values != 1), "0 or 1")]
-    for wrong, what in checks:
-        if np.any(wrong):
-            i = int(np.argmax(wrong))
-            raise ValueError(f"{path}: {name} in row {i + 1} must be {what}, "
-                             f"got {cells[name][i]!r}")
+    values = read_numbers(cells[name], f"{path}: {name}", integer=binary)
+    if binary and np.any(outside := (values != 0) & (values != 1)):
+        i = int(np.argmax(outside))
+        raise ValueError(f"{path}: {name} in row {i + 1} must be 0 or 1, got {cells[name][i]!r}")
     return values.astype(int) if binary else values
 
 
@@ -180,11 +179,10 @@ def cmd_metrics(args) -> int:
     cells = dict(zip(header, zip(*rows)))
     labels = _numbers(args.predictions, cells, "label", binary=True)
     scores = _numbers(args.predictions, cells, "score")
-    if "prediction" in cells and not all(map(_is_missing_marker, cells["prediction"])):
+    preds = None
+    if "prediction" in cells and not all(map(is_missing, cells["prediction"])):
         preds = _numbers(args.predictions, cells, "prediction", binary=True)
-    else:
-        preds = (scores >= args.threshold).astype(int)
-    report = _eval_report(labels, scores, preds, args.threshold)
+    report = score_report(labels, scores, args.threshold, preds)
     print(report.to_text())
     if args.out:
         write_table(args.out, EVAL_CSV_COLUMNS, [report.to_csv_row()])

@@ -20,7 +20,8 @@ class DegenerateDatasetError(ValueError):
     """Raised when preprocessing drops every column."""
 
 
-def _is_missing_marker(cell) -> bool:
+def is_missing(cell) -> bool:
+    """Whether a raw cell is missing: None, or empty, "NA" or "NaN" in any case."""
     if cell is None:
         return True
     return str(cell).strip().lower() in _MISSING_MARKERS
@@ -184,7 +185,7 @@ def load_csv(path, label_column: str | None = None, schema_hints: dict | None = 
     features = np.empty((n, len(feat_idx)), dtype=object)
     for i, row in enumerate(rows):
         for k, j in enumerate(feat_idx):
-            features[i, k] = None if _is_missing_marker(row[j]) else row[j]
+            features[i, k] = None if is_missing(row[j]) else row[j]
 
     labels = None
     if label_idx is not None:
@@ -253,21 +254,35 @@ def _parse_column(col, numeric_input: bool):
     if numeric_input:
         values, all_parsed = col.astype(float), True
     else:
-        cells = [math.nan if _is_missing_marker(c) else _try_float(c) for c in col]
+        cells = [math.nan if is_missing(c) else _try_float(c) for c in col]
         values, all_parsed = np.array(cells, dtype=float), None not in cells  # None reads as nan
     return values, ~np.isfinite(values), all_parsed
+
+
+def read_numbers(cells, name: str, integer: bool = False) -> np.ndarray:
+    """One column's cells as finite floats, integer-valued if ``integer``. The
+    first cell that is not one is an error naming ``name`` and its row, counted from 1."""
+    cells = np.asarray(cells, dtype=object)  # Python scalars, so the error quotes a cell as written
+    values, bad, _ = _parse_column(cells, numeric_input=False)
+    if integer:
+        bad |= values != np.floor(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} in row {i + 1} must be a finite "
+                         f"{'integer' if integer else 'number'}, got {cells[i]!r}")
+    return values
 
 
 def _not_a_number(name: str, col) -> ValueError:
     """The error for the first cell of column ``name`` that is neither a
     missing marker nor a number; rows count from 1."""
-    i = next(i for i, c in enumerate(col) if not _is_missing_marker(c) and _try_float(c) is None)
+    i = next(i for i, c in enumerate(col) if not is_missing(c) and _try_float(c) is None)
     return ValueError(f"column {name!r}, row {i + 1}: {col[i]!r} is not a number")
 
 
 def _category_strings(col) -> list:
     """Raw cells as strings, with ``None`` for missing cells."""
-    return [None if _is_missing_marker(c) else str(c) for c in col]
+    return [None if is_missing(c) else str(c) for c in col]
 
 
 def _encode_categories(strings, fill, codes: dict) -> np.ndarray:
@@ -387,24 +402,14 @@ def _numeric_labels(raw_labels: np.ndarray) -> bool:
 def _encode_labels(raw_labels: np.ndarray, codes: dict | None) -> np.ndarray:
     """Labels as ints. With ``codes``, every label is coded as a string through
     ``_encode_categories`` (a label not in ``codes`` gets the next code);
-    without, every label must be integer-valued. Rows count from 1."""
-    if raw_labels.dtype != object and codes is None:
-        arr = np.asarray(raw_labels)
-        if not np.all(arr == np.floor(np.asarray(arr, dtype=float))):
-            raise ValueError("labels must be integer-valued")
-        return arr.astype(int)
+    without, every label must be an integer, and one past int64 raises
+    OverflowError rather than wrap. Rows count from 1."""
     for i, v in enumerate(raw_labels, 1):
-        if _is_missing_marker(v):
+        if is_missing(v):
             raise ValueError(f"missing label value in row {i}")
     if codes is not None:
         return _encode_categories([str(v) for v in raw_labels], None, codes).astype(int)
-    parsed = []
-    for i, v in enumerate(raw_labels, 1):
-        f = _try_float(v)
-        if f is None or not f.is_integer():
-            raise ValueError(f"numeric labels must be integer-valued, got {v!r} in row {i}")
-        parsed.append(int(f))
-    return np.array(parsed, dtype=int)
+    return np.array(read_numbers(raw_labels, "label", integer=True).tolist(), dtype=int)
 
 
 def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:

@@ -138,19 +138,22 @@ def ks_statistic(labels, scores) -> float:
 
 
 def evaluate(m: TrainedModel, test: Dataset, threshold: float = 0.5) -> EvalReport:
-    """Score a binary {0, 1} model: thresholded predictions feed the confusion
-    metrics, p(y=1|x) feeds AUC and KS."""
+    """Score a binary {0, 1} model: ``score_report`` of its p(y=1|x) on ``test``."""
     if test.labels is None:
         raise ValueError("evaluate requires a labeled dataset")
     labels = np.asarray(m.label_set)
     if len(labels) != 2 or labels[0] != 0 or labels[1] != 1:
         raise ValueError("evaluate requires a model with label set {0, 1}")
-    scores = predict_proba(m, test)[:, 1]
-    return _eval_report(test.labels, scores, predict(m, test, threshold), threshold)
+    return score_report(test.labels, predict_proba(m, test)[:, 1], threshold)
 
 
-def _eval_report(labels, scores, predictions, threshold: float) -> EvalReport:
-    """Confusion metrics of the predictions; AUC and KS of the scores."""
+def score_report(labels, scores, threshold: float = 0.5, predictions=None) -> EvalReport:
+    """Confusion metrics of the predictions, by default ``scores >= threshold``
+    (the rule ``predict`` applies to a {0, 1} model); AUC and KS of the scores."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+    if predictions is None:
+        predictions = np.asarray(scores) >= threshold
     counts = confusion(labels, predictions)
     precision, recall, f1 = precision_recall_f1(counts)
     return EvalReport(precision=precision, recall=recall, f1=f1,

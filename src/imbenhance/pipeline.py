@@ -467,7 +467,7 @@ def _report_rows(reports: list[EvalReport]) -> list:
     return rows
 
 
-def _decision_lines(result: EnhancementResult) -> list:
+def decision_lines(result: EnhancementResult) -> list:
     """What each stage chose, as the closing lines of summary.txt."""
     lines = []
     if result.synthesis is not None:
@@ -488,7 +488,7 @@ def _decision_lines(result: EnhancementResult) -> list:
     return lines
 
 
-def _benchmark_summary(reports: BenchmarkResult) -> str:
+def benchmark_summary(reports: BenchmarkResult) -> str:
     """The text of benchmark_summary.txt: mean±std per metric, before vs after."""
     lines = ["metric, baseline_mean±std, enhanced_mean±std"]
     base, enh = reports.summary("baseline"), reports.summary("enhanced")
@@ -549,7 +549,7 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
         lines.append(_distribution_summary("augmented", result.aug))
         lines.append(_distribution_summary("filtered", result.filtered))
         lines.append(_distribution_summary("enhanced", result.enhanced))
-        lines += _decision_lines(result)
+        lines += decision_lines(result)
         (record(out / "summary.txt")).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if reports is not None:
@@ -558,6 +558,6 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
                     _report_rows(reports.baseline))
         write_table(record(out / "benchmark_enhanced.csv"), header,
                     _report_rows(reports.enhanced))
-        (record(out / "benchmark_summary.txt")).write_text(_benchmark_summary(reports),
+        (record(out / "benchmark_summary.txt")).write_text(benchmark_summary(reports),
                                                            encoding="utf-8")
     return written

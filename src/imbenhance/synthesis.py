@@ -13,10 +13,9 @@ from .classifiers import ClassifierSpec, TrainedModel, fit, predict
 from .data import (
     Dataset,
     SplitSpec,
-    _is_missing_marker,
-    _parse_column,
     class_stats,
     concat_datasets,
+    read_numbers,
     read_table,
     stratified_split,
 )
@@ -141,14 +140,8 @@ class ReplayFileTechnique:
         for name in train.feature_names:
             if name not in name_to_col:
                 raise ValueError(f"replay file {self.path} lacks column {name!r}")
-            col = [row[name_to_col[name]] for row in table]
-            values, missing, _ = _parse_column(col, numeric_input=False)
-            if missing.any():
-                i = int(np.argmax(missing))
-                what = ("missing value" if _is_missing_marker(col[i])
-                        else f"{col[i]!r} is not a finite number")
-                raise ValueError(f"replay file {self.path}: column {name!r}, line {i + 2}: {what}")
-            cols.append(values)
+            cols.append(read_numbers([row[name_to_col[name]] for row in table],
+                                     f"replay file {self.path}: column {name!r}"))
         rows = np.column_stack(cols) if cols else np.empty((len(table), 0))
         minority, _, _ = _minority_info(train)
         return _as_synthetic(train, rows, minority)

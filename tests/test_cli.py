@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbenhance.classifiers import ClassifierSpec
-from imbenhance.cli import _merge_config, build_parser, main
+from imbenhance.cli import _merge_config, _prepare_data, build_parser, main
 from imbenhance.data import load_csv, preprocess
 from imbenhance.pipeline import PipelineConfig
 from imbenhance.selflearn import PseudoLabelConfig
@@ -133,6 +133,42 @@ def test_pool_labels_keep_the_input_label_codes(small_csv, tmp_path):
         summaries.append((out / "summary.txt").read_text())
     assert "pseudo_accuracy = " in summaries[0]
     assert summaries[1] == summaries[0]
+
+
+def relabel(src, dst, names, blank_row=None):
+    """Copy a generated CSV with each 0/1 label cell renamed, one data row's label blanked."""
+    header, *body = src.read_text().splitlines()
+    rows = [f"{row.rsplit(',', 1)[0]},{names[int(row.rsplit(',', 1)[1])]}" for row in body]
+    if blank_row is not None:
+        rows[blank_row - 1] = rows[blank_row - 1].rsplit(",", 1)[0] + ","
+    dst.write_text("\n".join([header, *rows]) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("names", [("0", "1"), ("-1", "1"), ("good", "bad")])
+def test_a_blank_pool_label_is_unknown_truth(small_csv, tmp_path, names):
+    pool = tmp_path / "pool.csv"
+    run_cli("generate", "--n", "90", "--dims", "3", "--imbalance-ratio", "5",
+            "--seed", "77", "--out", str(pool))
+    truth = [int(row.rsplit(",", 1)[1]) for row in pool.read_text().splitlines()[1:]]
+    argv = ["enhance", str(relabel(small_csv, tmp_path / "in.csv", names)),
+            "--unlabeled", str(relabel(pool, tmp_path / "blank.csv", names, blank_row=5)),
+            "--strategy", "kfulf", "--max-depth", "4", "--out", str(tmp_path / "o")]
+    _, pool_ds, _ = _prepare_data(_merge_config(build_parser().parse_args(argv)))
+    assert pool_ds.labels.tolist() == truth[:4] + [-1] + truth[5:]
+    assert run_cli(*argv) == 0
+    assert "pseudo_accuracy = " in (tmp_path / "o" / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("label, message", [("", "missing label value in row 3"),
+                                            ("2", "expected exactly 2 classes, found 3")])
+def test_input_label_error_names_the_file(small_csv, tmp_path, capsys, label, message):
+    header, *body = small_csv.read_text().splitlines()
+    body[2] = f"{body[2].rsplit(',', 1)[0]},{label}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, *body]) + "\n")
+    assert run_cli("enhance", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
@@ -389,6 +425,14 @@ def test_metrics_names_the_bad_row(tmp_path, capsys, text, message):
     p.write_text(text)
     assert run_cli("metrics", str(p)) == 1
     assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.1"])
+def test_metrics_refuses_a_threshold_outside_0_1(tmp_path, capsys, threshold):
+    p = tmp_path / "preds.csv"
+    p.write_text("label,score\n1,0.9\n0,0.2\n")
+    assert run_cli("metrics", str(p), f"--threshold={threshold}") == 1
+    assert capsys.readouterr().err == "error: threshold must be in [0, 1]\n"
 
 
 def test_metrics_thresholds_the_score_when_every_prediction_cell_is_blank(tmp_path, capsys):

@@ -192,7 +192,7 @@ def test_transform_refuses_a_string_label_where_integers_were_fitted():
     X = np.array([["1"], ["2"]], dtype=object)
     pre = Preprocessor()
     pre.fit_transform(Dataset(features=X, labels=np.array(["0", "1"], dtype=object)))
-    with pytest.raises(ValueError, match="integer-valued, got 'bad' in row 2"):
+    with pytest.raises(ValueError, match="label in row 2 must be a finite integer, got 'bad'"):
         pre.transform(Dataset(features=X, labels=np.array(["1", "bad"], dtype=object)))
 
 

@@ -1,5 +1,6 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, CSV text is handled in one module, and F1 is scored in one module."""
+list, CSV text is handled in one module, F1 is scored in one module, and no
+module reaches into another's private names."""
 
 import ast
 import re
@@ -66,3 +67,13 @@ def test_only_metrics_references_f1_score():
     """Stages score through ``metrics.decision_f1``; a second scorer would be a second rule."""
     assert {path.name for path in PACKAGE.glob("*.py") if "f1_score" in referenced_names(path)} \
         == {"metrics.py"}
+
+
+def test_library_modules_import_no_private_names():
+    """A name with a leading underscore belongs to its module; others use the public one."""
+    private = {f"{path.name}: from .{node.module} import {alias.name}"
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == set()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit
+from imbenhance.classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
 from imbenhance.data import Dataset, generate_synthetic_benchmark
 from imbenhance.metrics import (
     ConfusionCounts,
@@ -11,6 +11,7 @@ from imbenhance.metrics import (
     f1_score,
     ks_statistic,
     precision_recall_f1,
+    score_report,
 )
 
 
@@ -207,6 +208,20 @@ def test_evaluate_matches_oracles_on_benchmark_output():
     scores = predict_proba(m, d)[:, 1]
     assert r.auc == pytest.approx(pairwise_auc_oracle(d.labels, scores), abs=1e-9)
     assert r.ks == pytest.approx(brute_force_ks(d.labels, scores), abs=1e-12)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+def test_evaluate_is_the_score_report_of_the_probabilities(threshold):
+    # the two rows at x = 0 cannot be split: their leaf is Laplace-smoothed to exactly 0.5
+    X = np.array([[0.0], [0.0], [5.0], [5.0], [5.0], [9.0], [9.0], [9.0]])
+    d = Dataset(features=X, labels=np.array([0, 1, 1, 1, 1, 0, 0, 0]))
+    m = fit(ClassifierSpec(kind="decision-tree"), d)
+    scores = predict_proba(m, d)[:, 1]
+    assert sorted(set(scores.tolist())) == [0.2, 0.5, 0.8]
+    r = score_report(d.labels, scores, threshold)
+    assert r == evaluate(m, d, threshold)
+    assert r.counts == confusion(d.labels, predict(m, d, threshold))  # inclusive at p = 0.5
+    assert r.counts.tp + r.counts.fp == {0.0: 8, 0.5: 5, 1.0: 0}[threshold]
 
 
 def test_evaluate_rejects_non_binary_model():
