@@ -96,7 +96,8 @@ def _merge_config(args) -> PipelineConfig:
 
 
 def _prepare_data(cfg: PipelineConfig):
-    """Load, preprocess, and canonicalize the input; build the pool, its labels the truth."""
+    """Load, preprocess, and canonicalize the input; build the pool, its labels the truth.
+    Also returns each input label cell, as written, with its class."""
     if not cfg.input_path:
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
@@ -121,14 +122,14 @@ def _prepare_data(cfg: PipelineConfig):
         if pool.labels is not None:
             truth = [mapping.get(int(v), -1) for v in pool.labels]
             pool = pool.with_labels(np.where(blank, -1, truth))
-    return ds, pool, mapping
+    return ds, pool, {cell: int(c) for cell, c in zip(raw.labels, ds.labels)}
 
 
 def cmd_enhance(args) -> int:
     cfg = _merge_config(args)
-    ds, pool, mapping = _prepare_data(cfg)
-    if mapping != {0: 0, 1: 1}:
-        print(f"label mapping (original -> canonical): {mapping}")
+    ds, pool, classes = _prepare_data(cfg)
+    if classes != {"0": 0, "1": 1}:
+        print(f"label mapping (original -> canonical): {classes}")
     result = run_pipeline(ds, pool, cfg)
     emit_report(result, None, args.out, cfg)
     for stage, ms in result.timings_ms.items():

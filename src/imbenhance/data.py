@@ -402,14 +402,18 @@ def _numeric_labels(raw_labels: np.ndarray) -> bool:
 def _encode_labels(raw_labels: np.ndarray, codes: dict | None) -> np.ndarray:
     """Labels as ints. With ``codes``, every label is coded as a string through
     ``_encode_categories`` (a label not in ``codes`` gets the next code);
-    without, every label must be an integer, and one past int64 raises
-    OverflowError rather than wrap. Rows count from 1."""
+    without, every label must be an integer within int64. Rows count from 1."""
     for i, v in enumerate(raw_labels, 1):
         if is_missing(v):
             raise ValueError(f"missing label value in row {i}")
     if codes is not None:
         return _encode_categories([str(v) for v in raw_labels], None, codes).astype(int)
-    return np.array(read_numbers(raw_labels, "label", integer=True).tolist(), dtype=int)
+    values = read_numbers(raw_labels, "label", integer=True)
+    if np.any(past := (values < -2.0**63) | (values >= 2.0**63)):
+        i = int(np.argmax(past))
+        raise ValueError(f"label in row {i + 1} must be a finite integer, "
+                         f"got {raw_labels.tolist()[i]!r}")
+    return values.astype(int)
 
 
 def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:

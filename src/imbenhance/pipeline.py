@@ -3,7 +3,6 @@ the cross-validated before/after benchmark, and report emission."""
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -33,14 +32,7 @@ from .selflearn import (
     kfulf,
     select_strategy,
 )
-from .synthesis import (
-    RandomOversampleTechnique,
-    ReplayFileTechnique,
-    SmoteTechnique,
-    SynthesisOutcome,
-    meta_synthesize,
-    split_by_error,
-)
+from .synthesis import SynthesisOutcome, build_techniques, meta_synthesize, split_by_error
 
 METRIC_NAMES = EVAL_CSV_COLUMNS[:6]
 
@@ -87,33 +79,16 @@ class PipelineConfig:
             raise ValueError("hide_labels must be in [0, 1)")
         if self.benchmark_folds < 2:
             raise ValueError("benchmark_folds must be at least 2")
-        if not (math.isfinite(self.target_ratio) and self.target_ratio > 0.0):
-            raise ValueError(f"target_ratio must be finite and > 0, got {self.target_ratio}")
         if not 0.0 < self.synthesis_split_ratio < 1.0:
             raise ValueError("synthesis_split_ratio must be in (0, 1), "
                              f"got {self.synthesis_split_ratio}")
         if not self.threshold_grid or any(not 0.0 <= t <= 1.0 for t in self.threshold_grid):
             raise ValueError("threshold_grid must be a nonempty list of values in [0, 1], "
                              f"got {self.threshold_grid}")
-        if self.smote_k_neighbors < 1:
-            raise ValueError(f"smote_k_neighbors must be at least 1, got {self.smote_k_neighbors}")
-        if not self.techniques:
-            raise ValueError("techniques must be a nonempty list")
-        self.build_techniques()  # refuses an unknown name before any stage runs
+        self.build_techniques()  # refuses a bad entry before any stage runs
 
     def build_techniques(self):
-        built = []
-        for name in self.techniques:
-            if name == "random-oversample":
-                built.append(RandomOversampleTechnique(self.target_ratio))
-            elif name == "smote":
-                built.append(SmoteTechnique(self.smote_k_neighbors, self.target_ratio))
-            elif name.startswith("replay:"):
-                built.append(ReplayFileTechnique(name.split(":", 1)[1]))
-            else:
-                raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
-                                 f"got {name!r}")
-        return built
+        return build_techniques(self.techniques, self.smote_k_neighbors, self.target_ratio)
 
 
 @dataclass

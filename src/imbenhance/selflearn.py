@@ -131,6 +131,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
     model = kept_model = fit(classifier_spec, train)
     f1_base = decision_f1(model, train)
     pool_ids = np.arange(unlabeled.n_rows)
+    kept = train  # train plus every accepted draft, in acceptance order
     accepted_idx: list[int] = []
     accepted_labels: list[int] = []
     log = []
@@ -145,12 +146,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         selected = unlabeled.take(pool_ids[top])
         y_sel = predict(model, selected, threshold=0.5)
 
-        tmp_parts = [train]
-        if accepted_idx:
-            tmp_parts.append(_pseudo_dataset(unlabeled, accepted_idx, accepted_labels))
-        tmp_parts.append(_pseudo_dataset(unlabeled, pool_ids[top], y_sel))
-        tmp = concat_datasets(tmp_parts)
-
+        tmp = concat_datasets([kept, _pseudo_dataset(unlabeled, pool_ids[top], y_sel)])
         model = fit(classifier_spec, tmp)
         f1_new = decision_f1(model, tmp)
         accepted = first_best([f1_base, f1_new]) == 1
@@ -161,11 +157,13 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
 
         if not accepted:
             break
-        f1_base, kept_model = f1_new, model
+        f1_base, kept_model, kept = f1_new, model, tmp
         accepted_idx.extend(pool_ids[top].tolist())
         accepted_labels.extend(np.asarray(y_sel).tolist())
         pool_ids = np.delete(pool_ids, top)
-    return _outcome(train, unlabeled, "DDS", accepted_idx, accepted_labels, log, kept_model)
+    return SelfLearnOutcome(enhanced=kept, strategy_used="DDS", pseudo_count=len(accepted_idx),
+                            log=log, pseudo_indices=np.array(accepted_idx, dtype=int),
+                            pseudo_labels=np.array(accepted_labels, dtype=int), model=kept_model)
 
 
 def select_strategy(train: Dataset, unlabeled: Dataset | None,

@@ -37,7 +37,13 @@ def _minority_info(train: Dataset):
     return minority, idx, majority_count
 
 
+def _check_target_ratio(target_ratio: float):
+    if not (math.isfinite(target_ratio) and target_ratio > 0.0):
+        raise ValueError(f"target_ratio must be finite and > 0, got {target_ratio}")
+
+
 def _rows_needed(minority_count: int, majority_count: int, target_ratio: float) -> int:
+    _check_target_ratio(target_ratio)
     target = int(math.floor(target_ratio * majority_count + 0.5))
     return max(0, target - minority_count)
 
@@ -147,6 +153,28 @@ class ReplayFileTechnique:
         return _as_synthetic(train, rows, minority)
 
 
+def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -> list:
+    """The race entries for the config tokens ``names``, in order; a bad token
+    or parameter is refused before anything is generated."""
+    _check_target_ratio(target_ratio)
+    if smote_k_neighbors < 1:
+        raise ValueError(f"smote_k_neighbors must be at least 1, got {smote_k_neighbors}")
+    if not names:
+        raise ValueError("techniques must be a nonempty list")
+    built = []
+    for name in names:
+        if name == "random-oversample":
+            built.append(RandomOversampleTechnique(target_ratio))
+        elif name == "smote":
+            built.append(SmoteTechnique(smote_k_neighbors, target_ratio))
+        elif name.startswith("replay:"):
+            built.append(ReplayFileTechnique(name.split(":", 1)[1]))
+        else:
+            raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
+                             f"got {name!r}")
+    return built
+
+
 def split_by_error(m: TrainedModel, val: Dataset) -> tuple[Dataset, Dataset]:
     """The rows of ``val`` that ``m`` predicts right at 0.5, as validation-merged, and the rest."""
     right = predict(m, val, threshold=0.5) == val.labels
@@ -170,27 +198,26 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     """Race the synthesis techniques on a stratified holdout and keep the best.
 
     For each technique: generate minority rows from the training part, train,
-    score F1 on the validation part. The first highest F1 wins; the winner is
-    regenerated and retrained, correctly-classified validation rows are merged
-    into the augmented set, and the misclassified ones are returned separately
-    for the filtering stage.
+    score F1 on the validation part. The first highest F1 wins; the winner's
+    augmented set is kept and retrained, correctly-classified validation rows
+    are merged into it, and the misclassified ones are returned separately for
+    the filtering stage.
     """
     if not techniques:
         raise ValueError("technique list is empty")
     if split.mode != "holdout":
         raise ValueError("meta_synthesize needs a holdout split spec")
     train, val = stratified_split(d, split)
-
-    def run(technique, tech_index):
-        syn = technique.generate(train, seed=split.seed + tech_index)
-        aug = concat_datasets([train, syn])
-        return aug, fit(classifier_spec, aug)
-
-    f1s = [(tech.name, decision_f1(run(tech, i)[1], val)) for i, tech in enumerate(techniques)]
+    augs = [concat_datasets([train, tech.generate(train, seed=split.seed + i)])
+            for i, tech in enumerate(techniques)]
+    f1s = [(tech.name, decision_f1(fit(classifier_spec, aug), val))
+           for tech, aug in zip(techniques, augs)]
     best = first_best([f1 for _, f1 in f1s])
-    aug, model = run(techniques[best], best)
+    # refitted rather than kept from the race: perfbench pins synthesis.race_refits
+    # until the benchmark counts repeated fits by content (ROADMAP item 1)
+    model = fit(classifier_spec, augs[best])
     correct, mis = split_by_error(model, val)
-    return SynthesisOutcome(augmented=concat_datasets([aug, correct]),
+    return SynthesisOutcome(augmented=concat_datasets([augs[best], correct]),
                             misclassified=mis,
                             chosen_technique=techniques[best].name,
                             f1_scores=f1s, model=model)

@@ -171,6 +171,41 @@ def test_input_label_error_names_the_file(small_csv, tmp_path, capsys, label, me
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("pool_label", [False, True])
+def test_a_label_past_int64_is_an_error_naming_the_file(small_csv, tmp_path, capsys, pool_label):
+    bad = tmp_path / "big.csv"
+    bad.write_text("f0,y\n1,0\n2,1e20\n3,0\n4,1e20\n")
+    argv = ["enhance", str(bad), "--out", str(tmp_path / "o")]
+    if pool_label:
+        header, *body = small_csv.read_text().splitlines()
+        bad.write_text("\n".join([header, body[0], f"{body[1].rsplit(',', 1)[0]},1e20"]) + "\n")
+        argv = ["enhance", str(small_csv), "--unlabeled", str(bad), "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: label in row 2 must be a finite integer, got '1e20'\n"
+
+
+@pytest.mark.parametrize("names, minority_first, mapping", [
+    (("bad", "good"), True, "{'good': 1, 'bad': 0}"),
+    (("bad", "good"), False, "{'bad': 0, 'good': 1}"),
+    (("-1", "1"), True, "{'1': 1, '-1': 0}"),
+    (("0", "1"), True, None),
+])
+def test_label_mapping_line_shows_the_labels_as_written(small_csv, tmp_path, capsys, names,
+                                                         minority_first, mapping):
+    header, *body = small_csv.read_text().splitlines()
+    body.sort(key=lambda row: row.endswith(",1") != minority_first)
+    ordered = tmp_path / "ordered.csv"
+    ordered.write_text("\n".join([header, *body]) + "\n")
+    assert run_cli("enhance", str(relabel(ordered, tmp_path / "in.csv", names)),
+                   "--disable-synthesis", "--disable-filtering", "--disable-selflearning",
+                   "--out", str(tmp_path / "o")) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("label mapping")]
+    assert printed == ([] if mapping is None else
+                       [f"label mapping (original -> canonical): {mapping}"])
+
+
 def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
     pool = tmp_path / "empty.csv"
     pool.write_text("")
@@ -412,6 +447,7 @@ def test_metrics_with_prediction_column_and_csv_out(tmp_path):
     ("label,score\n1,0.9\nNA,0.2\n", "label in row 2 must be a finite integer, got 'NA'"),
     ("label,score\n1,0.9\n0.5,0.2\n", "label in row 2 must be a finite integer, got '0.5'"),
     ("label,score\n1,0.9\n2,0.8\n0,0.2", "label in row 2 must be 0 or 1, got '2'"),
+    ("label,score\n1,0.9\n1e20,0.8\n0,0.2", "label in row 2 must be 0 or 1, got '1e20'"),
     ("label,score\n1,inf\n0,0.2\n", "score in row 1 must be a finite number, got 'inf'"),
     ("label,score\n1,0.9\n0,high\n", "score in row 2 must be a finite number, got 'high'"),
     ("label,score,prediction\n1,0.9,1\n0,0.2,\n",

@@ -1,6 +1,7 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, CSV text is handled in one module, F1 is scored in one module, and no
-module reaches into another's private names."""
+list, CSV text is handled in one module, F1 is scored in one module, the
+technique classes are named in one module, each module imports only lower
+layers, and no module reaches into another's private names."""
 
 import ast
 import re
@@ -67,6 +68,31 @@ def test_only_metrics_references_f1_score():
     """Stages score through ``metrics.decision_f1``; a second scorer would be a second rule."""
     assert {path.name for path in PACKAGE.glob("*.py") if "f1_score" in referenced_names(path)} \
         == {"metrics.py"}
+
+
+def test_only_synthesis_names_the_technique_classes():
+    """Config tokens become race entries in ``synthesis.build_techniques`` alone."""
+    classes = {"RandomOversampleTechnique", "SmoteTechnique", "ReplayFileTechnique"}
+    assert {path.name for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py" and classes & referenced_names(path)} \
+        == {"synthesis.py"}
+
+
+# Lowest first; a module imports only from layers below its own.
+LAYERS = (("data",), ("classifiers",), ("metrics",), ("synthesis", "filtering", "selflearn"),
+          ("pipeline",), ("cli",))
+
+
+def test_library_modules_import_only_lower_layers():
+    rank = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+    modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    assert {path.stem for path in modules} == set(rank)
+    upward = {f"{path.stem} imports {node.module}"
+              for path in modules
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+              if isinstance(node, ast.ImportFrom) and node.level > 0
+              and rank[node.module] >= rank[path.stem]}
+    assert upward == set()
 
 
 def test_library_modules_import_no_private_names():

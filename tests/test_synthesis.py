@@ -13,6 +13,7 @@ from imbenhance.synthesis import (
     RandomOversampleTechnique,
     ReplayFileTechnique,
     SmoteTechnique,
+    build_techniques,
     meta_synthesize,
     random_oversample,
     smote,
@@ -90,6 +91,13 @@ def test_smote_rejects_fewer_than_one_neighbor(k):
     y = np.array([1, 1, 1] + [0] * 8)
     with pytest.raises(ValueError, match="^k_neighbors must be at least 1$"):
         smote(Dataset(features=X, labels=y), k_neighbors=k)
+
+
+@pytest.mark.parametrize("generate", [random_oversample, smote])
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan"), 0.0, -1.0])
+def test_generators_refuse_a_target_ratio_not_finite_and_positive(generate, ratio):
+    with pytest.raises(ValueError, match=r"^target_ratio must be finite and > 0, got "):
+        generate(imbalanced_dataset(10, 100), target_ratio=ratio)
 
 
 def test_smote_rows_lie_on_a_neighbor_segment():
@@ -362,3 +370,38 @@ def test_single_technique_equals_direct_augmentation():
     direct = concat_datasets([train, syn])
     keep = out.augmented.take(np.flatnonzero(out.augmented.provenance != "validation-merged"))
     assert keep.equals(direct)
+
+
+def test_meta_synthesize_generates_each_entry_once():
+    d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=6)
+    techniques = [RandomOversampleTechnique(), SmoteTechnique(), SmoteTechnique()]
+    for tech in techniques:
+        tech.generate = mock.Mock(wraps=tech.generate)
+    meta_synthesize(d, techniques, ClassifierSpec(max_depth=3), SplitSpec(seed=6))
+    assert [t.generate.call_count for t in techniques] == [1, 1, 1]
+    assert [t.generate.call_args.kwargs["seed"] for t in techniques] == [6, 7, 8]
+
+
+# -------------------------------------------------------- build_techniques
+
+def test_build_techniques_maps_each_token_in_order(tmp_path):
+    built = build_techniques(["smote", f"replay:{tmp_path / 'syn.csv'}", "random-oversample"],
+                             smote_k_neighbors=3, target_ratio=0.5)
+    assert [type(t) for t in built] == [SmoteTechnique, ReplayFileTechnique,
+                                        RandomOversampleTechnique]
+    assert (built[0].k_neighbors, built[0].target_ratio, built[2].target_ratio) == (3, 0.5, 0.5)
+    assert built[1].path == tmp_path / "syn.csv"
+
+
+@pytest.mark.parametrize("names, k, ratio, message", [
+    (["smote"], 5, float("nan"), "target_ratio must be finite and > 0, got nan"),
+    (["smote"], 5, 0.0, "target_ratio must be finite and > 0, got 0.0"),
+    (["smote"], 0, 1.0, "smote_k_neighbors must be at least 1, got 0"),
+    ([], 5, 1.0, "techniques must be a nonempty list"),
+    (["smote", "gan"], 5, 1.0, "techniques must be random-oversample, smote or replay:PATH, "
+                               "got 'gan'"),
+])
+def test_build_techniques_refuses_a_bad_entry(names, k, ratio, message):
+    with pytest.raises(ValueError) as err:
+        build_techniques(names, k, ratio)
+    assert str(err.value) == message
