@@ -8,11 +8,11 @@ quantifies the before/after difference.
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
 from .data import (
+    BinaryLabels,
     ClassStats,
     Dataset,
     Preprocessor,
     SplitSpec,
-    canonicalize_binary,
     class_stats,
     concat_datasets,
     generate_synthetic_benchmark,

@@ -33,6 +33,8 @@ class ClassifierSpec:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         if self.max_depth < 1 or self.n_estimators < 1 or self.n_iterations < 1:
             raise ValueError("max_depth, n_estimators and n_iterations must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 class TrainedModel:

@@ -9,8 +9,8 @@ from operator import attrgetter
 import numpy as np
 
 from .data import (
+    BinaryLabels,
     Preprocessor,
-    canonicalize_binary,
     generate_synthetic_benchmark,
     is_missing,
     load_csv,
@@ -96,33 +96,29 @@ def _merge_config(args) -> PipelineConfig:
 
 
 def _prepare_data(cfg: PipelineConfig):
-    """Load, preprocess, and canonicalize the input; build the pool, its labels the truth.
-    Also returns each input label cell, as written, with its class."""
+    """Load and preprocess the input and map its labels to classes; build the pool,
+    its labels the truth. Also returns each input label, as written, with its class."""
     if not cfg.input_path:
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
     pre = Preprocessor()
     try:
-        ds, mapping = canonicalize_binary(pre.fit_transform(raw), cfg.positive_label)
+        ds = pre.fit_transform(raw)
+        labels = BinaryLabels(raw.labels, cfg.positive_label)
     except ValueError as exc:
         raise ValueError(f"{cfg.input_path}: {exc}") from exc
 
     pool = None
     if cfg.unlabeled_path:
         pool_raw = load_csv(cfg.unlabeled_path)
-        if cfg.label_column in pool_raw.feature_names:  # transform ignores columns outside its plan
-            cells = pool_raw.features[:, pool_raw.feature_names.index(cfg.label_column)]
-            # a blank is unknown truth: it passes transform as a fitted label, then reads -1
-            blank = np.array([c is None for c in cells], dtype=bool)
-            pool_raw = pool_raw.with_labels(np.where(blank, raw.labels[0], cells))
         try:
             pool = pre.transform(pool_raw)
+            if cfg.label_column in pool_raw.feature_names:  # not in the plan: transform skips it
+                cells = pool_raw.features[:, pool_raw.feature_names.index(cfg.label_column)]
+                pool = pool.with_labels(labels.truth(cells))
         except ValueError as exc:
             raise ValueError(f"{cfg.unlabeled_path}: {exc}") from exc
-        if pool.labels is not None:
-            truth = [mapping.get(int(v), -1) for v in pool.labels]
-            pool = pool.with_labels(np.where(blank, -1, truth))
-    return ds, pool, {cell: int(c) for cell, c in zip(raw.labels, ds.labels)}
+    return ds.with_labels(labels.classes), pool, labels.written
 
 
 def cmd_enhance(args) -> int:

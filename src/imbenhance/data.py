@@ -140,8 +140,8 @@ def concat_datasets(parts: list[Dataset]) -> Dataset:
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
     """The header and data rows of a comma-delimited UTF-8 file, every cell
-    stripped. An unreadable or empty file, or a row whose field count differs
-    from the header's, is an error naming the file."""
+    stripped. An unreadable or empty file, a header that repeats a column name,
+    or a row whose field count differs from the header's, is an error naming the file."""
     path = Path(path)
     try:
         fh = path.open(newline="", encoding="utf-8")
@@ -154,6 +154,9 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise ValueError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
+        for name, count in Counter(header).items():
+            if count > 1:
+                raise ValueError(f"{path}: column {name!r} appears twice in the header")
         rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -244,18 +247,15 @@ def _mode_first_appearance(values) -> str:
     return max(counts, key=counts.__getitem__)
 
 
-def _parse_column(col, numeric_input: bool):
+def _parse_column(col):
     """Numeric parse of one column: ``(values, missing, all_parsed)``.
 
     Missing markers, unparseable and non-finite cells count as missing.
     ``all_parsed`` is False when some cell that is not a missing marker does
     not parse as a float (``inf`` parses).
     """
-    if numeric_input:
-        values, all_parsed = col.astype(float), True
-    else:
-        cells = [math.nan if is_missing(c) else _try_float(c) for c in col]
-        values, all_parsed = np.array(cells, dtype=float), None not in cells  # None reads as nan
+    cells = [math.nan if is_missing(c) else _try_float(c) for c in col]
+    values, all_parsed = np.array(cells, dtype=float), None not in cells  # None reads as nan
     return values, ~np.isfinite(values), all_parsed
 
 
@@ -263,7 +263,7 @@ def read_numbers(cells, name: str, integer: bool = False) -> np.ndarray:
     """One column's cells as finite floats, integer-valued if ``integer``. The
     first cell that is not one is an error naming ``name`` and its row, counted from 1."""
     cells = np.asarray(cells, dtype=object)  # Python scalars, so the error quotes a cell as written
-    values, bad, _ = _parse_column(cells, numeric_input=False)
+    values, bad, _ = _parse_column(cells)
     if integer:
         bad |= values != np.floor(values)
     if np.any(bad):
@@ -293,20 +293,19 @@ def _encode_categories(strings, fill, codes: dict) -> np.ndarray:
 
 
 class Preprocessor:
-    """Column cleanup fitted on one dataset and replayable on another.
+    """Feature-column cleanup fitted on one dataset and replayable on another.
 
     Drops columns whose missing fraction exceeds ``missing_drop_threshold``
     (strictly), mode-fills the remaining gaps, and label-encodes non-numeric
-    columns in first-appearance order. Missing and non-finite cells are gaps;
-    in a column read as numbers, any other cell that does not parse is an
-    error naming the column and row. The fit keeps one plan entry per kept
-    column, ``(name, kind, fill, codes)``: ``fill`` is the numeric mode or the
-    modal category string, and ``codes`` maps categories to codes (None for a
-    column parsed as numbers). ``transform`` replays the plan on new data (the
-    unlabeled pool); unseen categories there get fresh codes past the fitted
-    range, local to that call. Labels are replayed the same way: string labels
-    keep their fitted codes, and where the fitted labels were integers the
-    labels to transform must be integers too.
+    columns in first-appearance order. Every cell is read through its ``str``.
+    Missing and non-finite cells are gaps; in a column read as numbers, any
+    other cell that does not parse is an error naming the column and row. The
+    fit keeps one plan entry per kept column, ``(name, kind, fill, codes)``:
+    ``fill`` is the numeric mode or the modal category string, and ``codes``
+    maps categories to codes (None for a column parsed as numbers).
+    ``transform`` replays the plan on new data (the unlabeled pool); unseen
+    categories there get fresh codes past the fitted range, local to that
+    call. Labels pass through both unchanged.
     """
 
     def __init__(self, missing_drop_threshold: float = 0.5):
@@ -314,17 +313,15 @@ class Preprocessor:
             raise ValueError("missing_drop_threshold must be in [0, 1]")
         self.missing_drop_threshold = missing_drop_threshold
         self._plan: list[tuple[str, str, object, dict | None]] | None = None
-        self._label_codes: dict | None = None  # string-label codes; None for numbers
 
     def fit_transform(self, raw: Dataset) -> Dataset:
-        numeric_input = raw.features.dtype != object
         plan, columns = [], []
         for j, name in enumerate(raw.feature_names):
             col = raw.features[:, j]
-            kind = self._resolve_kind(raw.column_kinds[j], numeric_input)
+            kind = raw.column_kinds[j]
             if kind != "categorical":
-                values, missing, all_parsed = _parse_column(col, numeric_input)
-                if kind is None:  # undeclared raw column: numeric iff every cell parses
+                values, missing, all_parsed = _parse_column(col)
+                if kind not in ("numeric", "categorical-encoded"):  # numeric iff every cell parses
                     kind = "numeric" if all_parsed else "categorical"
                 elif not all_parsed:
                     raise _not_a_number(name, col)
@@ -346,8 +343,7 @@ class Preprocessor:
         if not plan:
             raise DegenerateDatasetError("preprocessing dropped every column")
         self._plan = plan
-        self._label_codes = None if raw.labels is None or _numeric_labels(raw.labels) else {}
-        return self._output(raw, columns, self._label_codes)
+        return self._output(raw, columns)
 
     def transform(self, raw: Dataset) -> Dataset:
         if self._plan is None:
@@ -356,50 +352,35 @@ class Preprocessor:
         for name, *_ in self._plan:
             if name not in name_to_col:
                 raise ValueError(f"column {name!r} missing from dataset to transform")
-        numeric_input = raw.features.dtype != object
         columns = []
         for name, _, fill, codes in self._plan:
             col = raw.features[:, name_to_col[name]]
-            if codes is not None and not numeric_input:
+            if codes is not None:
                 columns.append(_encode_categories(_category_strings(col), fill, dict(codes)))
             else:
-                # encoded columns given as numbers fill with the fitted mode's code
-                values, missing, all_parsed = _parse_column(col, numeric_input)
+                values, missing, all_parsed = _parse_column(col)
                 if not all_parsed:
                     raise _not_a_number(name, col)
-                columns.append(np.where(missing, fill if codes is None else codes[fill], values))
-        codes = None if self._label_codes is None else dict(self._label_codes)
-        return self._output(raw, columns, codes)
+                columns.append(np.where(missing, fill, values))
+        return self._output(raw, columns)
 
     def _drops(self, missing: np.ndarray) -> bool:
         return len(missing) > 0 and np.mean(missing) > self.missing_drop_threshold
 
-    def _output(self, raw: Dataset, columns: list, label_codes: dict | None) -> Dataset:
-        labels = None if raw.labels is None else _encode_labels(raw.labels, label_codes)
-        return Dataset(features=np.column_stack(columns), labels=labels,
+    def _output(self, raw: Dataset, columns: list) -> Dataset:
+        return Dataset(features=np.column_stack(columns), labels=raw.labels,
                        column_kinds=[kind for _, kind, _, _ in self._plan],
                        provenance=raw.provenance,
                        feature_names=[name for name, *_ in self._plan])
 
-    @staticmethod
-    def _resolve_kind(declared: str, numeric_input: bool) -> str | None:
-        """The column's kind, or None when an undeclared raw column's cells decide."""
-        if declared == "numeric":
-            return "numeric"
-        if declared == "categorical-encoded" or (declared == "categorical" and numeric_input):
-            return "categorical-encoded"
-        if declared == "categorical":
-            return "categorical"
-        return "numeric" if numeric_input else None
 
-
-def _numeric_labels(raw_labels: np.ndarray) -> bool:
+def _numeric_labels(raw_labels) -> bool:
     """Whether labels are read as numbers: every cell parses as a float.
     ``_encode_labels`` reports a missing cell either way."""
-    return raw_labels.dtype != object or all(_try_float(v) is not None for v in raw_labels)
+    return all(_try_float(v) is not None for v in raw_labels)
 
 
-def _encode_labels(raw_labels: np.ndarray, codes: dict | None) -> np.ndarray:
+def _encode_labels(raw_labels, codes: dict | None) -> np.ndarray:
     """Labels as ints. With ``codes``, every label is coded as a string through
     ``_encode_categories`` (a label not in ``codes`` gets the next code);
     without, every label must be an integer within int64. Rows count from 1."""
@@ -412,13 +393,56 @@ def _encode_labels(raw_labels: np.ndarray, codes: dict | None) -> np.ndarray:
     if np.any(past := (values < -2.0**63) | (values >= 2.0**63)):
         i = int(np.argmax(past))
         raise ValueError(f"label in row {i + 1} must be a finite integer, "
-                         f"got {raw_labels.tolist()[i]!r}")
+                         f"got {np.asarray(raw_labels, dtype=object)[i]!r}")
     return values.astype(int)
 
 
 def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:
-    """One-shot fit-and-transform cleanup; see ``Preprocessor``."""
-    return Preprocessor(missing_drop_threshold).fit_transform(raw)
+    """One-shot fit-and-transform cleanup (see ``Preprocessor``) that also reads
+    the labels as ints: integers by value, or else strings coded by first appearance."""
+    out = Preprocessor(missing_drop_threshold).fit_transform(raw)
+    if raw.labels is None:
+        return out
+    return out.with_labels(_encode_labels(raw.labels, None if _numeric_labels(raw.labels) else {}))
+
+
+class BinaryLabels:
+    """An input's two labels as classes {0, 1}, and a pool's labels on those classes.
+
+    Cells are read once, by one rule: when every input cell is a number,
+    labels are integers compared by value (``1.0`` is ``1``) within int64;
+    otherwise they are strings as written. Class 1 is ``positive``, read by the
+    same rule, or else the minority; on a tie, the larger integer or the
+    later-appearing string. ``classes`` holds the input rows' classes and
+    ``written`` maps each label as written to its class, in first-appearance order.
+    """
+
+    def __init__(self, cells, positive: str | None = None):
+        # string codes; a label the input lacks is given one past its own two
+        self._codes = None if _numeric_labels(cells) else {}
+        labels = _encode_labels(cells, self._codes)
+        self._labels, counts = np.unique(labels, return_counts=True)
+        if len(self._labels) != 2:
+            raise ValueError(f"expected exactly 2 classes, found {len(self._labels)}")
+        self._one = self._labels[int(counts[1] <= counts[0])]
+        if positive is not None:
+            try:
+                self._one = _encode_labels([positive], self._codes)[0]
+            except ValueError:  # a label the input's rule cannot read is not present either
+                self._one = None
+            if self._one not in self._labels:
+                raise ValueError(f"positive label {positive!r} not present in data")
+        self.classes = (labels == self._one).astype(int)
+        self.written = {cell: int(c) for cell, c in zip(cells, self.classes)}
+
+    def truth(self, cells) -> np.ndarray:
+        """A pool's label cells as classes, -1 for a missing cell or a label the input
+        lacks. A cell the input's rule cannot read is an error naming its row."""
+        missing = np.array([is_missing(c) for c in cells], dtype=bool)
+        # a missing cell reads as the input's first label, so later rows keep their numbers
+        first = next(iter(self.written))
+        labels = _encode_labels([first if m else c for m, c in zip(missing, cells)], self._codes)
+        return np.where(~missing & np.isin(labels, self._labels), labels == self._one, -1)
 
 
 @dataclass
@@ -514,30 +538,6 @@ def stratified_split(d: Dataset, spec: SplitSpec) -> list[Dataset]:
             part_indices[p].extend(perm[start:start + alloc[p]].tolist())
             start += alloc[p]
     return [d.take(np.sort(np.array(pi, dtype=int))) for pi in part_indices]
-
-
-def canonicalize_binary(d: Dataset, positive_label=None) -> tuple[Dataset, dict]:
-    """Map the two label values onto {0, 1} with the positive class as 1.
-
-    Default positive class is the minority; ties keep the larger original
-    label as positive, so a dataset already in {0, 1} maps to itself.
-    Returns the relabeled dataset and the {original: new} mapping.
-    """
-    if d.labels is None:
-        raise ValueError("canonicalize_binary requires labels")
-    stats = class_stats(d)
-    if len(stats.labels) != 2:
-        raise ValueError(f"expected exactly 2 classes, found {len(stats.labels)}")
-    if positive_label is None:
-        positive = stats.minority_label
-    else:
-        positive = int(positive_label)
-        if positive not in stats.labels:
-            raise ValueError(f"positive label {positive} not present in data")
-    negative = next(l for l in stats.labels if l != positive)
-    mapping = {positive: 1, negative: 0}
-    new_labels = np.where(d.labels == positive, 1, 0)
-    return d.with_labels(new_labels), mapping
 
 
 def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,

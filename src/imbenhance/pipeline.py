@@ -23,7 +23,7 @@ from .data import (
     write_table,
 )
 from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, filter_sweep
-from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate, first_best
+from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate
 from .selflearn import (
     LOG_COLUMNS,
     PseudoLabelConfig,
@@ -53,7 +53,7 @@ class PipelineConfig:
 
     seed: int = 42
     label_column: str = "y"
-    positive_label: int | None = None
+    positive_label: str | None = None
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     techniques: list = field(default_factory=lambda: ["random-oversample", "smote"])
     smote_k_neighbors: int = 5
@@ -299,7 +299,7 @@ CONFIG_KEYS = (
     ("input", "input_path", str, "labeled CSV path"),
     ("unlabeled", "unlabeled_path", str, "unlabeled pool CSV"),
     ("label_column", "label_column", str, "label column name"),
-    ("positive_label", "positive_label", int, "label that becomes class 1 (blank: minority)"),
+    ("positive_label", "positive_label", str, "label that becomes class 1 (blank: minority)"),
     ("seed", "seed", int, "seed of splits, sampling and the classifier"),
     ("classifier", "classifier.kind", str, "decision-tree | random-forest | logistic-regression"),
     ("max_depth", "classifier.max_depth", int, "tree depth cap"),
@@ -499,10 +499,8 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
 
         race_rows = []
         if result.synthesis is not None:
-            race = result.synthesis.f1_scores
-            best = first_best([f1 for _, f1 in race])
-            race_rows = [[name, f1, "chosen" if i == best else ""]
-                         for i, (name, f1) in enumerate(race)]
+            race_rows = [[name, f1, "chosen" if i == result.synthesis.chosen else ""]
+                         for i, (name, f1) in enumerate(result.synthesis.f1_scores)]
         write_table(record(out / "synthesis_race.csv"),
                     ["technique", "f1", "chosen"], race_rows)
 

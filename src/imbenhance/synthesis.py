@@ -188,9 +188,13 @@ class SynthesisOutcome:
 
     augmented: Dataset              # winner's train + synthetic + correct validation rows
     misclassified: Dataset          # validation rows the winning model got wrong
-    chosen_technique: str
+    chosen: int                     # the winner's index into f1_scores
     f1_scores: list = field(default_factory=list)  # (technique name, validation F1)
     model: TrainedModel | None = None
+
+    @property
+    def chosen_technique(self) -> str:
+        return self.f1_scores[self.chosen][0]
 
 
 def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpec,
@@ -218,6 +222,4 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     model = fit(classifier_spec, augs[best])
     correct, mis = split_by_error(model, val)
     return SynthesisOutcome(augmented=concat_datasets([augs[best], correct]),
-                            misclassified=mis,
-                            chosen_technique=techniques[best].name,
-                            f1_scores=f1s, model=model)
+                            misclassified=mis, chosen=best, f1_scores=f1s, model=model)

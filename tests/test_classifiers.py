@@ -103,6 +103,12 @@ def test_fit_single_class():
         fit(ClassifierSpec(), d)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.5])
+def test_spec_refuses_a_learning_rate_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match=f"^learning_rate must be finite and > 0, got {rate}$"):
+        ClassifierSpec(learning_rate=rate)
+
+
 # -------------------------------------------------------------- predict_proba
 
 def test_proba_rows_sum_to_one():

@@ -206,6 +206,74 @@ def test_label_mapping_line_shows_the_labels_as_written(small_csv, tmp_path, cap
                        [f"label mapping (original -> canonical): {mapping}"])
 
 
+@pytest.mark.parametrize("positive", ["good", "bad"])
+def test_positive_label_names_a_label_as_written(small_csv, tmp_path, capsys, positive):
+    data = relabel(small_csv, tmp_path / "in.csv", ("good", "bad"))
+    assert run_cli("enhance", str(data), "--positive-label", positive, "--disable-synthesis",
+                   "--disable-filtering", "--disable-selflearning",
+                   "--out", str(tmp_path / "o")) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("label mapping (original -> canonical): {")]
+    negative = "bad" if positive == "good" else "good"
+    assert len(printed) == 1
+    assert f"'{positive}': 1" in printed[0] and f"'{negative}': 0" in printed[0]
+
+
+def test_positive_label_that_is_a_code_not_a_label_is_refused(small_csv, tmp_path, capsys):
+    data = relabel(small_csv, tmp_path / "in.csv", ("good", "bad"))
+    assert run_cli("enhance", str(data), "--positive-label", "1",
+                   "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {data}: positive label '1' not present in data\n"
+
+
+def test_a_blank_pool_label_does_not_shift_the_row_an_error_names(small_csv, tmp_path, capsys):
+    header, *body = small_csv.read_text().splitlines()
+    pool = tmp_path / "pool.csv"
+    pool.write_text("\n".join([header, body[0].rsplit(",", 1)[0] + ",",
+                               body[1].rsplit(",", 1)[0] + ",1e20"]) + "\n")
+    assert run_cli("enhance", str(small_csv), "--unlabeled", str(pool),
+                   "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == \
+        f"error: {pool}: label in row 2 must be a finite integer, got '1e20'\n"
+
+
+_INTEGER_NAMES = st.lists(st.integers(-3, 3).map(str), min_size=3, max_size=3, unique=True)
+_STRING_NAMES = st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=3, max_size=3,
+                         unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=_INTEGER_NAMES | _STRING_NAMES,
+       rows=st.lists(st.sampled_from([0, 1]), min_size=2, max_size=12).filter(
+           lambda r: len(set(r)) == 2),
+       flag=st.sampled_from([None, 0, 1]),
+       pool=st.lists(st.sampled_from([0, 1, 2, None]), min_size=1, max_size=8))
+def test_class_one_is_the_positive_label_or_the_minority(tmp_path_factory, names, rows, flag,
+                                                         pool):
+    # rows, flag and pool hold indexes into names; names[2] is a label the input
+    # lacks, and None is a blank pool cell
+    folder = tmp_path_factory.mktemp("labels")
+    for name, labels in (("in.csv", rows), ("pool.csv", pool)):
+        lines = [f"{i},{'' if c is None else names[c]}" for i, c in enumerate(labels)]
+        (folder / name).write_text("\n".join(["f0,y", *lines]) + "\n")
+    positive = flag
+    if flag is None:
+        counts = [rows.count(0), rows.count(1)]
+        if counts[0] != counts[1]:
+            positive = counts.index(min(counts))
+        elif names[0].lstrip("-").isdigit():  # a tie goes to the larger integer
+            positive = max((0, 1), key=lambda c: int(names[c]))
+        else:  # or to the later-appearing string
+            positive = 1 - rows[0]
+    cfg = PipelineConfig(input_path=str(folder / "in.csv"),
+                         unlabeled_path=str(folder / "pool.csv"),
+                         positive_label=None if flag is None else names[flag])
+    ds, pool_ds, written = _prepare_data(cfg)
+    assert ds.labels.tolist() == [int(c == positive) for c in rows]
+    assert list(written.items()) == [(names[c], int(c == positive)) for c in dict.fromkeys(rows)]
+    assert pool_ds.labels.tolist() == [-1 if c in (None, 2) else int(c == positive) for c in pool]
+
+
 def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
     pool = tmp_path / "empty.csv"
     pool.write_text("")
@@ -213,6 +281,21 @@ def test_empty_pool_file_fails_naming_the_file(small_csv, tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert capsys.readouterr().err == f"error: {pool}: empty file, header row required\n"
+
+
+@pytest.mark.parametrize("in_pool", [False, True])
+def test_a_header_that_repeats_a_column_fails_naming_the_file(small_csv, tmp_path, capsys,
+                                                               in_pool):
+    bad = tmp_path / "repeated.csv"
+    if in_pool:  # the pool's second f1 would otherwise be read for both
+        bad.write_text("f0,f1,f1,f2\n0.5,1.5,2.5,3.5\n")
+        argv, name = [str(small_csv), "--unlabeled", str(bad)], "f1"
+    else:  # the second y would otherwise be a feature that leaks the label
+        bad.write_text("f0,y,y\n1,0,0\n2,1,1\n3,0,0\n")
+        argv, name = [str(bad)], "y"
+    assert run_cli("enhance", *argv, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad}: column {name!r} appears twice in the header\n"
 
 
 def test_missing_pool_file_fails_as_unreadable(small_csv, tmp_path, capsys):
@@ -267,7 +350,7 @@ OUT_OF_RANGE = [("target_ratio", "-1"), ("target_ratio", "nan"), ("target_ratio"
                 ("synthesis_split_ratio", "1.5"), ("synthesis_split_ratio", "0"),
                 ("threshold_grid", "0.2,1.5"), ("threshold_grid", ","),
                 ("smote_k_neighbors", "0"), ("techniques", "foo"), ("techniques", ","),
-                ("techniques", "smote,replay")]
+                ("techniques", "smote,replay"), ("learning_rate", "inf"), ("learning_rate", "0")]
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
@@ -312,7 +395,7 @@ def test_every_pipeline_flag_reaches_the_config(tmp_path):
     cfg = _merge_config(build_parser().parse_args(argv))
     assert cfg == PipelineConfig(
         input_path="in.csv", unlabeled_path="pool.csv", label_column="target",
-        positive_label=0, seed=5,
+        positive_label="0", seed=5,
         classifier=ClassifierSpec(kind="random-forest", max_depth=4, n_estimators=7,
                                   learning_rate=0.5, n_iterations=9, seed=5),
         techniques=["smote"], smote_k_neighbors=2, target_ratio=0.5,

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from imbenhance import data
 from imbenhance.data import (
+    BinaryLabels,
     ClassStats,
     Dataset,
     DegenerateDatasetError,
     Preprocessor,
     SplitSpec,
-    canonicalize_binary,
     class_stats,
     concat_datasets,
     generate_synthetic_benchmark,
@@ -51,6 +52,14 @@ def test_load_csv_non_rectangular(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,y\n1,2,0\n3,1\n")
     with pytest.raises(ValueError, match="non-rectangular"):
+        load_csv(p, label_column="y")
+
+
+@pytest.mark.parametrize("header, name", [("a,a,y", "a"), ("a,y,y", "y"), ("a, a ,y", "a")])
+def test_load_csv_refuses_a_header_that_repeats_a_column(tmp_path, header, name):
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\n1,2,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: column '{name}' appears twice")):
         load_csv(p, label_column="y")
 
 
@@ -179,21 +188,25 @@ def test_preprocessor_transform_pool_matches_encoding():
     assert pool.feature_names == fitted.feature_names
 
 
-def test_transform_replays_fitted_label_codes():
-    X = np.array([["1"], ["2"], ["3"]], dtype=object)
-    pre = Preprocessor()
-    pre.fit_transform(Dataset(features=X, labels=np.array(["good", "bad", "good"], dtype=object)))
-    out = pre.transform(Dataset(features=X, labels=np.array(["bad", "good", "odd"], dtype=object)))
-    # "bad" and "good" keep their fitted codes; the unseen "odd" gets one past them
-    assert list(out.labels) == [1, 0, 2]
+def test_truth_keeps_the_input_classes_and_reads_an_unseen_label_as_unknown():
+    labels = BinaryLabels(["good", "bad", "good"])
+    # "bad" and "good" keep their classes; the unseen "odd" is -1, not a fresh code
+    assert labels.truth(["bad", "good", "odd"]).tolist() == [1, 0, -1]
+    assert labels.truth(["odd", "odd", "bad"]).tolist() == [-1, -1, 1]
 
 
-def test_transform_refuses_a_string_label_where_integers_were_fitted():
-    X = np.array([["1"], ["2"]], dtype=object)
-    pre = Preprocessor()
-    pre.fit_transform(Dataset(features=X, labels=np.array(["0", "1"], dtype=object)))
+def test_truth_refuses_a_string_label_where_the_input_has_integers():
+    labels = BinaryLabels(["0", "1"])
     with pytest.raises(ValueError, match="label in row 2 must be a finite integer, got 'bad'"):
-        pre.transform(Dataset(features=X, labels=np.array(["1", "bad"], dtype=object)))
+        labels.truth(["1", "bad"])
+
+
+def test_preprocessor_passes_labels_through_unchanged():
+    X = np.array([["1"], ["2"], ["3"]], dtype=object)
+    d = Dataset(features=X, labels=np.array(["good", "bad", ""], dtype=object))
+    pre = Preprocessor()
+    assert pre.fit_transform(d).labels is d.labels
+    assert pre.transform(d).labels is d.labels
 
 
 def test_missing_string_label_is_reported_with_its_row():
@@ -391,24 +404,48 @@ def test_split_deterministic():
 # ------------------------------------------------- canonicalize / benchmark
 
 def test_canonicalize_keeps_standard_binary():
-    d = make_labeled(np.zeros((10, 1)), [0] * 7 + [1] * 3)
-    out, mapping = canonicalize_binary(d)
-    assert mapping == {1: 1, 0: 0}
-    assert np.array_equal(out.labels, d.labels)
+    cells = ["0"] * 7 + ["1"] * 3
+    labels = BinaryLabels(cells)
+    assert labels.written == {"0": 0, "1": 1}
+    assert labels.classes.tolist() == [int(c) for c in cells]
 
 
 def test_canonicalize_flips_when_minority_is_zero():
-    d = make_labeled(np.zeros((10, 1)), [0] * 3 + [1] * 7)
-    out, mapping = canonicalize_binary(d)
-    assert mapping == {0: 1, 1: 0}
-    assert int(np.sum(out.labels == 1)) == 3
+    labels = BinaryLabels(["0"] * 3 + ["1"] * 7)
+    assert labels.written == {"0": 1, "1": 0}
+    assert int(np.sum(labels.classes == 1)) == 3
 
 
 def test_canonicalize_explicit_positive():
-    d = make_labeled(np.zeros((4, 1)), [5, 5, 9, 5])
-    out, mapping = canonicalize_binary(d, positive_label=5)
-    assert mapping == {5: 1, 9: 0}
-    assert list(out.labels) == [1, 1, 0, 1]
+    labels = BinaryLabels(["5", "5", "9", "5"], positive="5")
+    assert labels.written == {"5": 1, "9": 0}
+    assert labels.classes.tolist() == [1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("cells, positive, classes", [
+    (["1", "0", "1.0", "0"], "1", [1, 0, 1, 0]),      # integers compare by value
+    (["1", "0", "1.0", "0"], "0.0", [0, 1, 0, 1]),
+    (["-1", "1", "-1"], None, [0, 1, 0]),             # the minority
+    (["a", "b", "b", "a"], None, [0, 1, 1, 0]),       # a tie goes to the later string
+    (["7", "3", "3", "7"], None, [1, 0, 0, 1]),       # or the larger integer
+    (["good", "bad", "good"], "good", [1, 0, 1]),
+])
+def test_canonicalize_picks_class_one_by_the_label_rule(cells, positive, classes):
+    assert BinaryLabels(cells, positive).classes.tolist() == classes
+
+
+@pytest.mark.parametrize("cells, positive, message", [
+    (["good", "bad"], "1", "positive label '1' not present in data"),
+    (["0", "1"], "bad", "positive label 'bad' not present in data"),
+    (["0", "1"], "2", "positive label '2' not present in data"),
+    (["0", "1"], "1e20", "positive label '1e20' not present in data"),
+    (["0", "1", "2"], None, "expected exactly 2 classes, found 3"),
+    (["0", "0"], None, "expected exactly 2 classes, found 1"),
+    (["0", "", "1"], None, "missing label value in row 2"),
+])
+def test_canonicalize_refuses_a_label_set_it_cannot_map(cells, positive, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BinaryLabels(cells, positive)
 
 
 def test_generate_benchmark_minority_count():

@@ -1,7 +1,8 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, CSV text is handled in one module, F1 is scored in one module, the
-technique classes are named in one module, each module imports only lower
-layers, and no module reaches into another's private names."""
+list, CSV text is handled in one module, F1 is scored in one module, only
+the stages pick a winner, the technique classes are named in one module,
+each module imports only lower layers, and no module reaches into another's
+private names."""
 
 import ast
 import re
@@ -68,6 +69,12 @@ def test_only_metrics_references_f1_score():
     """Stages score through ``metrics.decision_f1``; a second scorer would be a second rule."""
     assert {path.name for path in PACKAGE.glob("*.py") if "f1_score" in referenced_names(path)} \
         == {"metrics.py"}
+
+
+def test_only_the_stages_pick_by_first_best():
+    """Each stage decides its own winner; a report reads the decision, it does not redo it."""
+    assert {path.name for path in PACKAGE.glob("*.py") if "first_best" in referenced_names(path)} \
+        == {"metrics.py", "synthesis.py", "filtering.py", "selflearn.py"}
 
 
 def test_only_synthesis_names_the_technique_classes():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbenhance import synthesis
 from imbenhance.classifiers import ClassifierSpec, fit, predict
 from imbenhance.data import SplitSpec, class_stats, generate_synthetic_benchmark, stratified_split
 from imbenhance.filtering import filter_sweep
@@ -293,6 +294,18 @@ def test_race_report_marks_only_the_first_best_of_repeated_names(tmp_path):
     assert [i for i, (_, _, mark) in enumerate(rows) if mark == "chosen"] == [first_max(f1s)]
 
 
+def test_race_report_marks_the_entry_the_race_chose(tmp_path, monkeypatch):
+    monkeypatch.setattr(synthesis, "first_best", lambda scores: len(scores) - 1)
+    cfg = quick_cfg(techniques=["smote", "random-oversample"])
+    result = run_pipeline(bench_data(seed=16), None, cfg)
+    emit_report(result, None, tmp_path, cfg)
+    rows = [line.split(",") for line in
+            (tmp_path / "synthesis_race.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][1]) > float(rows[1][1])  # the report cannot find the pick by score
+    assert [mark for _, _, mark in rows] == ["", "chosen"]
+    assert result.synthesis.chosen_technique == "random-oversample"
+
+
 # ---------------------------------------------------------------- benchmark
 
 def test_benchmark_identity_pipeline_matches_baseline():
@@ -421,24 +434,24 @@ def test_serialize_rejects_field_without_a_key():
 
 
 _TEXT = st.text(alphabet="ab/._-=, 09", max_size=10).map(str.strip)
-_FLOAT = st.floats(allow_nan=False)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 _FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 ROW_VALUES = {
     "input": _TEXT,
     "unlabeled": _TEXT,
     "label_column": _TEXT.filter(bool),
-    "positive_label": st.none() | st.integers(-3, 3),
+    "positive_label": st.none() | _TEXT.filter(bool),
     "seed": st.integers(0, 2**32),
     "classifier": st.sampled_from(["decision-tree", "random-forest", "logistic-regression"]),
     "max_depth": st.integers(1, 64),
     "n_estimators": st.integers(1, 500),
-    "learning_rate": _FLOAT,
+    "learning_rate": _POSITIVE,
     "n_iterations": st.integers(1, 5000),
     "techniques": st.lists(st.sampled_from(["random-oversample", "smote"])
                            | _TEXT.filter(lambda t: "," not in t).map(lambda t: f"replay:{t}"),
                            min_size=1, max_size=4),
     "smote_k_neighbors": st.integers(1, 50),
-    "target_ratio": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "target_ratio": _POSITIVE,
     "synthesis_split_ratio": _FRACTION,
     "threshold_grid": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(tuple),
     "retention": st.booleans(),
