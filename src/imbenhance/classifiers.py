@@ -67,17 +67,6 @@ class TrainedModel:
         raise NotImplementedError
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "probs")
-
-    def __init__(self, feature=-1, threshold=0.0, left=None, right=None, probs=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.probs = probs  # set on leaves only
-
-
 def _best_split(X, codes, n_labels, rows, feature_indices):
     """Exhaustive Gini split search over midpoints of sorted unique values.
 
@@ -131,27 +120,41 @@ def _gini(counts, sizes):
 
 class DecisionTreeModel(TrainedModel):
     """CART with Gini impurity, depth cap as the only regularizer, and
-    Laplace-smoothed (+1 per class) leaf frequencies."""
+    Laplace-smoothed (+1 per class) leaf frequencies.
+
+    A fitted tree is one node table in depth-first order, the root at row 0:
+    ``feature_`` and ``threshold_`` (a row goes left iff ``x[feature] <=
+    threshold``; ``feature_`` is -1 at a leaf), ``left_`` and ``right_`` (the
+    children's rows), ``counts_`` (the training rows of each class that reached
+    the node) and ``probs_`` (``(counts_ + 1) / (node rows + classes)``).
+    """
 
     def __init__(self, max_depth: int = 12, feature_subsample: int | None = None,
                  rng: np.random.Generator | None = None):
         self.max_depth = max_depth
         self.feature_subsample = feature_subsample  # forest members search sqrt(d) features
         self.rng = rng
-        self.root_: _TreeNode | None = None
 
     def _fit(self, X, codes, n_labels):
-        self.n_labels_ = n_labels  # a forest member keeps every class its bootstrap lost
         # each feature is sorted once; nodes stable-partition these rows
         rows = np.argsort(X.T, axis=1, kind="stable")
+        # every class gets a column, also one a forest member's bootstrap lost
         counts = np.bincount(codes, minlength=n_labels)
-        goes_left = np.zeros(len(codes), dtype=bool)
-        self.root_ = self._grow(X, codes, rows, counts, goes_left, depth=0)
+        nodes = []
+        self._grow(X, codes, rows, counts, np.zeros(len(codes), dtype=bool), 0, nodes)
+        feature, threshold, left, right, counts = zip(*nodes)
+        self.feature_, self.threshold_ = np.array(feature), np.array(threshold)
+        self.left_, self.right_ = np.array(left), np.array(right)
+        self.counts_ = np.array(counts)
+        self.probs_ = (self.counts_ + 1.0) / (self.counts_.sum(axis=1, keepdims=True) + n_labels)
 
-    def _grow(self, X, codes, rows, counts, goes_left, depth):
+    def _grow(self, X, codes, rows, counts, goes_left, depth, nodes):
+        """Append the node's row (a leaf until split), then its subtrees'; return its row."""
+        at = len(nodes)
+        nodes.append([-1, 0.0, 0, 0, counts])
         n = rows.shape[1]
         if depth >= self.max_depth or n < 2 or counts.max() == n:
-            return self._leaf(counts)
+            return at
         d = X.shape[1]
         if self.feature_subsample is not None and self.feature_subsample < d:
             feats = np.sort(self.rng.choice(d, size=self.feature_subsample, replace=False))
@@ -159,7 +162,7 @@ class DecisionTreeModel(TrainedModel):
             feats = np.arange(d)
         split = _best_split(X, codes, len(counts), rows, feats)
         if split is None:
-            return self._leaf(counts)
+            return at
         f, thr = split
         # the same comparison predict routes by, so a midpoint that rounds onto
         # the upper value sends those rows left here too
@@ -167,27 +170,20 @@ class DecisionTreeModel(TrainedModel):
         mask = goes_left[rows]
         left, right = rows[mask].reshape(d, -1), rows[~mask].reshape(d, -1)
         left_counts = np.bincount(codes[left[0]], minlength=len(counts))
-        return _TreeNode(feature=int(f), threshold=float(thr),
-                         left=self._grow(X, codes, left, left_counts, goes_left, depth + 1),
-                         right=self._grow(X, codes, right, counts - left_counts, goes_left,
-                                          depth + 1))
-
-    def _leaf(self, counts):
-        probs = (counts + 1.0) / (counts.sum() + len(counts))
-        return _TreeNode(probs=probs)
+        left_at = self._grow(X, codes, left, left_counts, goes_left, depth + 1, nodes)
+        right_at = self._grow(X, codes, right, counts - left_counts, goes_left, depth + 1, nodes)
+        nodes[at][:4] = int(f), float(thr), left_at, right_at
+        return at
 
     def _proba(self, X):
-        out = np.empty((X.shape[0], self.n_labels_))
-        self._route(self.root_, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node, X, idx, out):
-        if node.probs is not None:
-            out[idx] = node.probs
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[mask], out)
-        self._route(node.right, X, idx[~mask], out)
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        moving = np.flatnonzero(self.feature_[node] >= 0)
+        while len(moving):  # one level per pass: each row on an inner node steps down
+            at = node[moving]
+            node[moving] = np.where(X[moving, self.feature_[at]] <= self.threshold_[at],
+                                    self.left_[at], self.right_[at])
+            moving = moving[self.feature_[node[moving]] >= 0]
+        return self.probs_[node]
 
 
 class RandomForestModel(TrainedModel):

@@ -97,7 +97,7 @@ def _merge_config(args) -> PipelineConfig:
 
 def _prepare_data(cfg: PipelineConfig):
     """Load and preprocess the input and map its labels to classes; build the pool,
-    its labels the truth. Also returns each input label, as written, with its class."""
+    its labels the truth. Prints the map unless the labels are 0 and 1 as written."""
     if not cfg.input_path:
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
@@ -118,14 +118,14 @@ def _prepare_data(cfg: PipelineConfig):
                 pool = pool.with_labels(labels.truth(cells))
         except ValueError as exc:
             raise ValueError(f"{cfg.unlabeled_path}: {exc}") from exc
-    return ds.with_labels(labels.classes), pool, labels.written
+    if labels.written != {"0": 0, "1": 1}:
+        print(f"label mapping (original -> canonical): {labels.written}")
+    return ds.with_labels(labels.classes), pool
 
 
 def cmd_enhance(args) -> int:
     cfg = _merge_config(args)
-    ds, pool, classes = _prepare_data(cfg)
-    if classes != {"0": 0, "1": 1}:
-        print(f"label mapping (original -> canonical): {classes}")
+    ds, pool = _prepare_data(cfg)
     result = run_pipeline(ds, pool, cfg)
     emit_report(result, None, args.out, cfg)
     for stage, ms in result.timings_ms.items():
@@ -138,7 +138,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _merge_config(args)
-    ds, pool, _ = _prepare_data(cfg)
+    ds, pool = _prepare_data(cfg)
     bench = benchmark(ds, cfg, unlabeled=pool)
     emit_report(None, bench, args.out, cfg)
     print(benchmark_summary(bench), end="")

@@ -155,7 +155,8 @@ class ReplayFileTechnique:
 
 def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -> list:
     """The race entries for the config tokens ``names``, in order; a bad token
-    or parameter is refused before anything is generated."""
+    or parameter, or two entries of one name, is refused before anything is
+    generated, so every report names each entry once."""
     _check_target_ratio(target_ratio)
     if smote_k_neighbors < 1:
         raise ValueError(f"smote_k_neighbors must be at least 1, got {smote_k_neighbors}")
@@ -164,14 +165,17 @@ def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -
     built = []
     for name in names:
         if name == "random-oversample":
-            built.append(RandomOversampleTechnique(target_ratio))
+            entry = RandomOversampleTechnique(target_ratio)
         elif name == "smote":
-            built.append(SmoteTechnique(smote_k_neighbors, target_ratio))
+            entry = SmoteTechnique(smote_k_neighbors, target_ratio)
         elif name.startswith("replay:"):
-            built.append(ReplayFileTechnique(name.split(":", 1)[1]))
+            entry = ReplayFileTechnique(name.split(":", 1)[1])
         else:
             raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
                              f"got {name!r}")
+        if entry.name in [other.name for other in built]:
+            raise ValueError(f"techniques: two entries are named {entry.name!r}")
+        built.append(entry)
     return built
 
 

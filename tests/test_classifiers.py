@@ -18,7 +18,6 @@ from imbenhance.classifiers import (
     TrainedModel,
     _best_split,
     _sigmoid,
-    _TreeNode,
     fit,
     predict,
     predict_proba,
@@ -40,10 +39,10 @@ class StubModel(TrainedModel):
 
 def tree_depth(m: DecisionTreeModel) -> int:
     def walk(node):
-        if node.probs is not None:
+        if m.feature_[node] < 0:
             return 0
-        return 1 + max(walk(node.left), walk(node.right))
-    return walk(m.root_)
+        return 1 + max(walk(m.left_[node]), walk(m.right_[node]))
+    return walk(0)
 
 
 def logistic_loss_path(X, y, learning_rate, n_iterations):
@@ -142,17 +141,20 @@ def test_logistic_zero_weights_gives_half():
     assert np.allclose(p, [[0.5, 0.5]])
 
 
+def one_leaf_tree(probs) -> DecisionTreeModel:
+    """A fitted tree of a single leaf that predicts ``probs`` for every row."""
+    t = DecisionTreeModel()
+    t.feature_, t.threshold_ = np.array([-1]), np.array([0.0])
+    t.left_, t.right_ = np.array([0]), np.array([0])
+    t.probs_ = np.array([probs], dtype=float)
+    return t
+
+
 def test_forest_probability_is_mean_of_trees():
-    t1 = DecisionTreeModel()
-    t1.n_labels_ = 2
-    t1.root_ = _TreeNode(probs=np.array([1.0, 0.0]))
-    t2 = DecisionTreeModel()
-    t2.n_labels_ = 2
-    t2.root_ = _TreeNode(probs=np.array([0.0, 1.0]))
     forest = RandomForestModel(n_estimators=2)
     forest.label_set = np.array([0, 1])
     forest.n_features_ = 1
-    forest.trees_ = [t1, t2]
+    forest.trees_ = [one_leaf_tree([1.0, 0.0]), one_leaf_tree([0.0, 1.0])]
     assert np.allclose(forest.predict_proba(np.array([[0.0]])), [[0.5, 0.5]])
 
 
@@ -343,9 +345,10 @@ def test_determinism_over_all_kinds():
 def test_zero_feature_training_set_fits_one_leaf():
     d = Dataset(features=np.empty((5, 0)), labels=np.array([0, 0, 0, 1, 1]))
     tree = fit(ClassifierSpec(kind="decision-tree"), d)
-    assert np.allclose(tree.root_.probs, [4.0 / 7.0, 3.0 / 7.0])
+    assert list(tree.feature_) == [-1]
+    assert np.allclose(tree.probs_[0], [4.0 / 7.0, 3.0 / 7.0])
     forest = fit(ClassifierSpec(kind="random-forest", n_estimators=3), d)
-    assert all(t.root_.probs is not None for t in forest.trees_)
+    assert all(list(t.feature_) == [-1] for t in forest.trees_)
     p = predict_proba(forest, np.empty((2, 0)))
     assert p.shape == (2, 2) and np.array_equal(p[0], p[1])
 
@@ -446,3 +449,53 @@ def test_presorted_split_search_matches_per_feature_search(problem):
         assert got is None
     else:
         assert got is not None and (int(got[0]), got[1]) == (int(want[0]), want[1])
+
+
+# --------------------------------------------------------------- node table
+
+def walk_table(tree: DecisionTreeModel, x) -> int:
+    """The reference router: the leaf row one input row reaches, by a Python walk."""
+    node = 0
+    while tree.feature_[node] >= 0:
+        goes_left = x[tree.feature_[node]] <= tree.threshold_[node]
+        node = tree.left_[node] if goes_left else tree.right_[node]
+    return int(node)
+
+
+@st.composite
+def table_problems(draw):
+    label_set = draw(st.sampled_from([(0, 1), (-1, 0, 1)]))
+    n = draw(st.integers(len(label_set), 30))
+    d = draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 0.7, 2.5])  # many ties
+    X = np.array(draw(st.lists(values, min_size=(n + 5) * d, max_size=(n + 5) * d)))
+    y = np.array(draw(st.lists(st.sampled_from(label_set), min_size=n, max_size=n)))
+    y[:len(label_set)] = label_set                      # every label is present
+    if draw(st.booleans()):
+        model = DecisionTreeModel(max_depth=draw(st.integers(1, 6)))
+    else:
+        model = RandomForestModel(max_depth=draw(st.integers(1, 6)),
+                                  n_estimators=draw(st.integers(1, 3)),
+                                  seed=draw(st.integers(0, 100)))
+    X = X.reshape(n + 5, d)
+    return model, X[:n], y, X                           # scored on 5 other rows too
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_problems())
+def test_node_table_matches_a_per_row_walk(problem):
+    model, X, y, scored = problem
+    model.fit(X, y)
+    trees = [model] if isinstance(model, DecisionTreeModel) else model.trees_
+    walked = [t.probs_[[walk_table(t, x) for x in scored]] for t in trees]
+    assert np.array_equal(model.predict_proba(scored), np.mean(walked, axis=0))
+    for t in trees:
+        inner = np.flatnonzero(t.feature_ >= 0)
+        children = t.counts_[t.left_[inner]] + t.counts_[t.right_[inner]]
+        assert np.array_equal(t.counts_[inner], children)
+    if isinstance(model, DecisionTreeModel):
+        codes = np.searchsorted(model.label_set, y)
+        leaves = np.array([walk_table(model, x) for x in X])
+        for leaf in np.flatnonzero(model.feature_ < 0):
+            reached = np.bincount(codes[leaves == leaf], minlength=len(model.label_set))
+            assert np.array_equal(reached, model.counts_[leaf])

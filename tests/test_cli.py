@@ -154,7 +154,7 @@ def test_a_blank_pool_label_is_unknown_truth(small_csv, tmp_path, names):
     argv = ["enhance", str(relabel(small_csv, tmp_path / "in.csv", names)),
             "--unlabeled", str(relabel(pool, tmp_path / "blank.csv", names, blank_row=5)),
             "--strategy", "kfulf", "--max-depth", "4", "--out", str(tmp_path / "o")]
-    _, pool_ds, _ = _prepare_data(_merge_config(build_parser().parse_args(argv)))
+    _, pool_ds = _prepare_data(_merge_config(build_parser().parse_args(argv)))
     assert pool_ds.labels.tolist() == truth[:4] + [-1] + truth[5:]
     assert run_cli(*argv) == 0
     assert "pseudo_accuracy = " in (tmp_path / "o" / "summary.txt").read_text()
@@ -204,6 +204,15 @@ def test_label_mapping_line_shows_the_labels_as_written(small_csv, tmp_path, cap
                if line.startswith("label mapping")]
     assert printed == ([] if mapping is None else
                        [f"label mapping (original -> canonical): {mapping}"])
+
+
+def test_benchmark_prints_the_label_mapping_first(small_csv, tmp_path, capsys):
+    data = relabel(small_csv, tmp_path / "in.csv", ("good", "bad"))
+    assert run_cli("benchmark", str(data), "--disable-synthesis", "--disable-filtering",
+                   "--disable-selflearning", "--out", str(tmp_path / "o")) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "label mapping (original -> canonical): {'good': 0, 'bad': 1}"
+    assert not any(line.startswith("label mapping") for line in printed[1:])
 
 
 @pytest.mark.parametrize("positive", ["good", "bad"])
@@ -268,9 +277,12 @@ def test_class_one_is_the_positive_label_or_the_minority(tmp_path_factory, names
     cfg = PipelineConfig(input_path=str(folder / "in.csv"),
                          unlabeled_path=str(folder / "pool.csv"),
                          positive_label=None if flag is None else names[flag])
-    ds, pool_ds, written = _prepare_data(cfg)
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        ds, pool_ds = _prepare_data(cfg)
+    written = {names[c]: int(c == positive) for c in dict.fromkeys(rows)}
+    assert printed.getvalue() == ("" if written == {"0": 0, "1": 1} else
+                                  f"label mapping (original -> canonical): {written}\n")
     assert ds.labels.tolist() == [int(c == positive) for c in rows]
-    assert list(written.items()) == [(names[c], int(c == positive)) for c in dict.fromkeys(rows)]
     assert pool_ds.labels.tolist() == [-1 if c in (None, 2) else int(c == positive) for c in pool]
 
 

@@ -284,16 +284,6 @@ def test_each_choice_is_the_first_best_and_provenance_adds_up(strategy, retentio
         assert outcome.strategy_used == names[first_max(list(scores))]
 
 
-def test_race_report_marks_only_the_first_best_of_repeated_names(tmp_path):
-    cfg = quick_cfg(techniques=["smote", "smote"])
-    emit_report(run_pipeline(bench_data(seed=16), None, cfg), None, tmp_path, cfg)
-    rows = [line.split(",") for line in
-            (tmp_path / "synthesis_race.csv").read_text().splitlines()[1:]]
-    assert [name for name, _, _ in rows] == ["smote", "smote"]
-    f1s = [float(f1) for _, f1, _ in rows]
-    assert [i for i, (_, _, mark) in enumerate(rows) if mark == "chosen"] == [first_max(f1s)]
-
-
 def test_race_report_marks_the_entry_the_race_chose(tmp_path, monkeypatch):
     monkeypatch.setattr(synthesis, "first_best", lambda scores: len(scores) - 1)
     cfg = quick_cfg(techniques=["smote", "random-oversample"])
@@ -449,7 +439,8 @@ ROW_VALUES = {
     "n_iterations": st.integers(1, 5000),
     "techniques": st.lists(st.sampled_from(["random-oversample", "smote"])
                            | _TEXT.filter(lambda t: "," not in t).map(lambda t: f"replay:{t}"),
-                           min_size=1, max_size=4),
+                           min_size=1, max_size=4,  # entry names are distinct
+                           unique_by=lambda t: synthesis.build_techniques([t], 1, 1.0)[0].name),
     "smote_k_neighbors": st.integers(1, 50),
     "target_ratio": _POSITIVE,
     "synthesis_split_ratio": _FRACTION,

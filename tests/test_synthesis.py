@@ -400,6 +400,9 @@ def test_build_techniques_maps_each_token_in_order(tmp_path):
     ([], 5, 1.0, "techniques must be a nonempty list"),
     (["smote", "gan"], 5, 1.0, "techniques must be random-oversample, smote or replay:PATH, "
                                "got 'gan'"),
+    (["smote", "smote"], 5, 1.0, "techniques: two entries are named 'smote'"),
+    (["replay:a/x.csv", "smote", "replay:b/x.csv"], 5, 1.0,
+     "techniques: two entries are named 'replay:x.csv'"),
 ])
 def test_build_techniques_refuses_a_bad_entry(names, k, ratio, message):
     with pytest.raises(ValueError) as err:
