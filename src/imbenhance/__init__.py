@@ -27,7 +27,6 @@ from .pipeline import (
     BenchmarkResult,
     EnhancementResult,
     PipelineConfig,
-    StageError,
     benchmark,
     emit_report,
     run_pipeline,

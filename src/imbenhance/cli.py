@@ -14,6 +14,7 @@ from .data import (
     generate_synthetic_benchmark,
     is_missing,
     load_csv,
+    prefix_errors,
     read_numbers,
     read_table,
     write_csv,
@@ -23,7 +24,6 @@ from .metrics import EVAL_CSV_COLUMNS, score_report
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
-    StageError,
     benchmark,
     benchmark_summary,
     config_from_mapping,
@@ -102,22 +102,20 @@ def _prepare_data(cfg: PipelineConfig):
         raise ValueError("input CSV required (positional argument or 'input =' in config)")
     raw = load_csv(cfg.input_path, label_column=cfg.label_column)
     pre = Preprocessor()
-    try:
+    with prefix_errors(cfg.input_path):
+        if raw.n_rows == 0:
+            raise ValueError("no data rows")
         ds = pre.fit_transform(raw)
         labels = BinaryLabels(raw.labels, cfg.positive_label)
-    except ValueError as exc:
-        raise ValueError(f"{cfg.input_path}: {exc}") from exc
 
     pool = None
     if cfg.unlabeled_path:
         pool_raw = load_csv(cfg.unlabeled_path)
-        try:
+        with prefix_errors(cfg.unlabeled_path):
             pool = pre.transform(pool_raw)
             if cfg.label_column in pool_raw.feature_names:  # not in the plan: transform skips it
                 cells = pool_raw.features[:, pool_raw.feature_names.index(cfg.label_column)]
                 pool = pool.with_labels(labels.truth(cells))
-        except ValueError as exc:
-            raise ValueError(f"{cfg.unlabeled_path}: {exc}") from exc
     if labels.written != {"0": 0, "1": 1}:
         print(f"label mapping (original -> canonical): {labels.written}")
     return ds.with_labels(labels.classes), pool
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
                 "generate": cmd_generate, "metrics": cmd_metrics}
     try:
         return handlers[args.command](args)
-    except (StageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -16,8 +17,14 @@ PROVENANCE_TAGS = ("original", "synthetic", "retained", "pseudo-labeled", "valid
 _MISSING_MARKERS = {"", "na", "nan"}
 
 
-class DegenerateDatasetError(ValueError):
-    """Raised when preprocessing drops every column."""
+@contextmanager
+def prefix_errors(prefix: str):
+    """A ValueError raised in the block comes out as ``ValueError("<prefix>: <message>")``,
+    chained to the original; nothing else is caught."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def is_missing(cell) -> bool:
@@ -139,12 +146,13 @@ def concat_datasets(parts: list[Dataset]) -> Dataset:
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """The header and data rows of a comma-delimited UTF-8 file, every cell
-    stripped. An unreadable or empty file, a header that repeats a column name,
-    or a row whose field count differs from the header's, is an error naming the file."""
+    """The header and data rows of a comma-delimited UTF-8 file, with or without
+    a byte-order mark, every cell stripped. An unreadable or empty file, a
+    header that repeats a column name, or a row whose field count differs from
+    the header's, is an error naming the file."""
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"unreadable file {path}: {exc}") from exc
     with fh:
@@ -341,7 +349,7 @@ class Preprocessor:
                 columns.append(np.where(missing, fill, values))
             plan.append((name, kind, fill, codes))
         if not plan:
-            raise DegenerateDatasetError("preprocessing dropped every column")
+            raise ValueError("preprocessing dropped every column")
         self._plan = plan
         return self._output(raw, columns)
 
@@ -549,12 +557,16 @@ def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,
     Euclidean distance; ``noise_rate`` of all labels are flipped. Deterministic
     per seed.
     """
-    if imbalance_ratio < 1:
-        raise ValueError("imbalance_ratio must be >= 1")
+    if not (math.isfinite(imbalance_ratio) and imbalance_ratio >= 1):
+        raise ValueError(f"imbalance_ratio must be finite and >= 1, got {imbalance_ratio}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     if not 0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     n_min = max(1, int(math.floor(n / (1.0 + imbalance_ratio) + 0.5)))
     n_maj = n - n_min

@@ -18,6 +18,7 @@ from .data import (
     SplitSpec,
     class_stats,
     concat_datasets,
+    prefix_errors,
     stratified_split,
     write_csv,
     write_table,
@@ -35,15 +36,6 @@ from .selflearn import (
 from .synthesis import SynthesisOutcome, build_techniques, meta_synthesize, split_by_error
 
 METRIC_NAMES = EVAL_CSV_COLUMNS[:6]
-
-
-class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name."""
-
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"{stage}: {original}")
-        self.stage = stage
-        self.original = original
 
 
 @dataclass
@@ -72,6 +64,8 @@ class PipelineConfig:
     unlabeled_path: str = ""
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.classifier = replace(self.classifier, seed=self.seed)
         if self.strategy not in ("auto", "kfulf", "dds"):
             raise ValueError("strategy must be auto, kfulf, or dds")
@@ -122,12 +116,10 @@ def _validate_pipeline_input(d: Dataset, pool: Dataset | None):
 
 @contextmanager
 def _stage(name: str, timings: dict):
-    """Time the block into ``timings[name]`` (ms); an exception in it becomes a StageError."""
+    """Time the block into ``timings[name]`` (ms); a ValueError in it names the stage."""
     start = time.perf_counter()
-    try:
+    with prefix_errors(name):
         yield
-    except Exception as exc:
-        raise StageError(name, exc) from exc
     timings[name] = (time.perf_counter() - start) * 1000.0
 
 
@@ -327,10 +319,8 @@ _PATHS = {key: path for key, path, _, _ in CONFIG_KEYS}
 
 
 def _parse_value(key: str, value: str):
-    try:
+    with prefix_errors(key):
         return _PARSERS[key](value)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
 
 
 def _replace_path(obj, path: str, value):
@@ -346,28 +336,25 @@ def _parse_lines(text: str, source) -> dict:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        where = f"{source}:{lineno}: "
-        if "=" not in line:
-            raise ValueError(f"{where}expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
-            raise ValueError(f"{where}unknown config key {key!r}")
-        if key in first_line:
-            raise ValueError(f"{where}config key {key!r} already set on line {first_line[key]}")
-        if value:
-            try:
+        with prefix_errors(f"{source}:{lineno}"):
+            if "=" not in line:
+                raise ValueError("expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"config key {key!r} already set on line {first_line[key]}")
+            if value:
                 _replace_path(PipelineConfig(), _PATHS[key], _parse_value(key, value))
-            except ValueError as exc:
-                raise ValueError(f"{where}{exc}") from None
         mapping[key], first_line[key] = value, lineno
     return mapping
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment. Unknown or repeated
-    keys, values their key cannot parse and values PipelineConfig refuses are
-    errors naming ``path:line``."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8"), path)
+    """Flat ``key = value`` lines of UTF-8, with or without a byte-order mark;
+    '#' starts a comment. Unknown or repeated keys, values their key cannot
+    parse and values PipelineConfig refuses are errors naming ``path:line``."""
+    return _parse_lines(Path(path).read_text(encoding="utf-8-sig"), path)
 
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:

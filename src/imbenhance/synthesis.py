@@ -44,8 +44,11 @@ def _check_target_ratio(target_ratio: float):
 
 def _rows_needed(minority_count: int, majority_count: int, target_ratio: float) -> int:
     _check_target_ratio(target_ratio)
-    target = int(math.floor(target_ratio * majority_count + 0.5))
-    return max(0, target - minority_count)
+    target = target_ratio * majority_count
+    if not math.isfinite(target):
+        raise ValueError(f"target_ratio {target_ratio} of {majority_count} majority rows "
+                         "is not a finite row count")
+    return max(0, int(math.floor(target + 0.5)) - minority_count)
 
 
 def _as_synthetic(train: Dataset, rows: np.ndarray, minority_label: int) -> Dataset:

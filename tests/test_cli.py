@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,19 @@ def test_generate_deterministic(tmp_path):
     run_cli("generate", "--n", "100", "--dims", "2", "--seed", "5", "--out", str(a))
     run_cli("generate", "--n", "100", "--dims", "2", "--seed", "5", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("--separation", "nan", "separation must be finite, got nan"),
+    ("--separation", "inf", "separation must be finite, got inf"),
+    ("--imbalance-ratio", "nan", "imbalance_ratio must be finite and >= 1, got nan"),
+])
+def test_generate_refuses_a_bad_argument(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--n", "50", flag, value, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ enhance
@@ -328,6 +342,23 @@ def test_pool_cell_that_is_not_a_number_fails_naming_file_column_and_row(small_c
     assert capsys.readouterr().err == f"error: {pool}: column 'f0', row 2: 'abc' is not a number\n"
 
 
+@pytest.mark.parametrize("command", ["enhance", "benchmark"])
+def test_an_input_without_data_rows_says_so(small_csv, tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(small_csv.read_text().splitlines()[0] + "\n")
+    assert run_cli(command, str(empty), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+
+
+def test_a_pool_without_data_rows_skips_self_learning(small_csv, tmp_path):
+    pool = tmp_path / "pool.csv"
+    pool.write_text("f0,f1,f2\n")
+    out = tmp_path / "o"
+    assert run_cli("enhance", str(small_csv), "--unlabeled", str(pool), "--out", str(out)) == 0
+    assert "note = self-learning skipped: empty unlabeled pool" in \
+        (out / "summary.txt").read_text().splitlines()
+
+
 def test_enhance_missing_input_fails(tmp_path, capsys):
     code = run_cli("enhance", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
     assert code == 1
@@ -362,7 +393,8 @@ OUT_OF_RANGE = [("target_ratio", "-1"), ("target_ratio", "nan"), ("target_ratio"
                 ("synthesis_split_ratio", "1.5"), ("synthesis_split_ratio", "0"),
                 ("threshold_grid", "0.2,1.5"), ("threshold_grid", ","),
                 ("smote_k_neighbors", "0"), ("techniques", "foo"), ("techniques", ","),
-                ("techniques", "smote,replay"), ("learning_rate", "inf"), ("learning_rate", "0")]
+                ("techniques", "smote,replay"), ("learning_rate", "inf"), ("learning_rate", "0"),
+                ("seed", "-1")]
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
@@ -382,6 +414,41 @@ def test_out_of_range_config_value_fails_before_the_run(small_csv, tmp_path, cap
     assert run_cli("benchmark", str(small_csv), "--config", str(cfg), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}:1: {key} must ")
     assert not out.exists()
+
+
+def byte_order_mark_case(small_csv, kind):
+    """The files of one run, as name -> text, the file under test, and the argv. The
+    input's label comes first, so a BOM left in its header would hide the label."""
+    header, *rows = [line.split(",") for line in small_csv.read_text().splitlines()]
+    files = {"data.csv": "".join(f"{r[-1]},{','.join(r[:-1])}\n" for r in [header, *rows]),
+             "pool.csv": "".join(f"{','.join(r[:-1])}\n" for r in [header, *rows[:40]]),
+             "cfg.txt": "seed = 3\nmax_depth = 4\n",
+             "preds.csv": "label,score\n1,0.9\n0,0.2\n1,0.4\n0,0.6\n0,0.1\n"}
+    argv = {"input": ["enhance", "data.csv"],
+            "pool": ["enhance", "data.csv", "--unlabeled", "pool.csv"],
+            "config": ["enhance", "data.csv", "--config", "cfg.txt"],
+            "predictions": ["metrics", "preds.csv"]}[kind]
+    return files, argv[-1], argv
+
+
+@pytest.mark.parametrize("kind", ["input", "pool", "config", "predictions"])
+def test_a_byte_order_mark_changes_nothing(small_csv, tmp_path, monkeypatch, capsys, kind):
+    files, marked, argv = byte_order_mark_case(small_csv, kind)
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        work = tmp_path / encoding
+        work.mkdir()
+        for name, text in files.items():
+            (work / name).write_text(text, encoding=encoding if name == marked else "utf-8")
+        monkeypatch.chdir(work)
+        code = main([*argv, "--out", "out"])
+        printed = capsys.readouterr()
+        out = work / "out"
+        runs.append((code, re.sub(r"\d+\.\d ms", "<ms> ms", printed.out), printed.err,
+                     all_file_bytes(out) if out.is_dir() else out.read_bytes()))
+    assert (work / marked).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 def test_unreplayable_config_fails_before_the_run(small_csv, tmp_path, capsys):

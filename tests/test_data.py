@@ -11,7 +11,6 @@ from imbenhance.data import (
     BinaryLabels,
     ClassStats,
     Dataset,
-    DegenerateDatasetError,
     Preprocessor,
     SplitSpec,
     class_stats,
@@ -156,7 +155,7 @@ def test_preprocess_string_first_appearance_encoding():
 
 def test_preprocess_all_columns_dropped():
     X = np.array([[None, None]] * 4, dtype=object)
-    with pytest.raises(DegenerateDatasetError):
+    with pytest.raises(ValueError, match="dropped every column"):
         preprocess(Dataset(features=X))
 
 
@@ -470,6 +469,19 @@ def test_generate_benchmark_noise_flips_labels():
     clean = generate_synthetic_benchmark(n=500, d=3, imbalance_ratio=10, noise_rate=0.0, seed=3)
     noisy = generate_synthetic_benchmark(n=500, d=3, imbalance_ratio=10, noise_rate=0.1, seed=3)
     assert int(np.sum(clean.labels != noisy.labels)) == 50
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"separation": float("nan")}, "separation must be finite, got nan"),
+    ({"separation": float("-inf")}, "separation must be finite, got -inf"),
+    ({"imbalance_ratio": float("nan")}, "imbalance_ratio must be finite and >= 1, got nan"),
+    ({"imbalance_ratio": float("inf")}, "imbalance_ratio must be finite and >= 1, got inf"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+])
+def test_generate_benchmark_refuses_a_bad_argument(kw, message):
+    args = {"n": 50, "d": 2, "imbalance_ratio": 5.0, **kw}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_synthetic_benchmark(**args)
 
 
 # ----------------------------------------------------------------- dataset

@@ -1,8 +1,8 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
 list, CSV text is handled in one module, F1 is scored in one module, only
 the stages pick a winner, the technique classes are named in one module,
-each module imports only lower layers, and no module reaches into another's
-private names."""
+each module imports only lower layers, no module reaches into another's
+private names, and bad input raises nothing but ValueError."""
 
 import ast
 import re
@@ -110,3 +110,22 @@ def test_library_modules_import_no_private_names():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")}
     assert private == set()
+
+
+def test_no_module_defines_an_exception_or_catches_everything():
+    """Bad input raises ValueError (prefixed through ``data.prefix_errors``), so no
+    module needs an exception class of its own, and a catch-all would pass a bug
+    off as bad input."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
+                if any(base.endswith(("Error", "Exception")) for base in bases):
+                    found.add(f"{path.name}: class {node.name}({', '.join(sorted(bases))})")
+            elif isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(c is None or isinstance(c, ast.Name)
+                       and c.id in ("Exception", "BaseException") for c in caught):
+                    found.add(f"{path.name}: line {node.lineno} catches everything")
+    assert found == set()

@@ -17,7 +17,6 @@ from imbenhance.filtering import filter_sweep
 from imbenhance.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
-    StageError,
     benchmark,
     config_from_mapping,
     emit_report,
@@ -171,8 +170,17 @@ def test_pipeline_leaves_its_input_datasets_unchanged(entry):
 def test_stage_error_carries_stage_name():
     d = bench_data()
     cfg = quick_cfg(techniques=["replay:/nonexistent/file.csv"])
-    with pytest.raises(StageError, match="synthesis"):
+    with pytest.raises(ValueError, match="^synthesis: "):
         run_pipeline(d, None, cfg)
+
+
+def test_a_bug_inside_a_stage_keeps_its_own_type(monkeypatch):
+    def broken_fit(spec, train):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(synthesis, "fit", broken_fit)
+    with pytest.raises(TypeError, match="^a bug, not bad input$"):
+        run_pipeline(bench_data(), None, quick_cfg())
 
 
 def test_filtering_passthrough_when_no_misclassified():

@@ -100,6 +100,11 @@ def test_generators_refuse_a_target_ratio_not_finite_and_positive(generate, rati
         generate(imbalanced_dataset(10, 100), target_ratio=ratio)
 
 
+def test_a_target_ratio_past_any_row_count_is_refused_naming_it():
+    with pytest.raises(ValueError, match=r"^target_ratio 1e\+308 of 100 majority rows "):
+        random_oversample(imbalanced_dataset(10, 100), target_ratio=1e308)
+
+
 def test_smote_rows_lie_on_a_neighbor_segment():
     rng = np.random.default_rng(5)
     M = rng.normal(0, 1, (5, 2))
