@@ -33,10 +33,9 @@ from .pipeline import (
 )
 from .selflearn import PseudoLabelConfig, SelfLearnOutcome, dds, kfulf, select_strategy
 from .synthesis import (
-    RandomOversampleTechnique,
-    ReplayFileTechnique,
-    SmoteTechnique,
     SynthesisOutcome,
+    Technique,
+    build_techniques,
     meta_synthesize,
     random_oversample,
     smote,

@@ -46,6 +46,8 @@ class TrainedModel:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "TrainedModel":
         """Encode the classes once, as codes into ``label_set``, and fit on the codes."""
         X = np.asarray(X, dtype=float)
+        if not np.all(np.isfinite(X)):
+            raise ValueError("training features must be finite (run preprocessing first)")
         self.label_set, codes = np.unique(y, return_inverse=True)
         if len(self.label_set) < 2:
             raise ValueError("training set has a single class")
@@ -61,6 +63,8 @@ class TrainedModel:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError(f"expected {self.n_features_} features, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("scored features must be finite (run preprocessing first)")
         return self._proba(X)
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
@@ -286,9 +290,6 @@ def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
     if train.n_rows == 0:
         raise ValueError("empty training set")
     X = _features_of(train)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("training features must be finite (run preprocessing first)")
-
     if spec.kind == "decision-tree":
         return DecisionTreeModel(max_depth=spec.max_depth).fit(X, train.labels)
     if spec.kind == "random-forest":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -46,7 +47,7 @@ class Dataset:
     """Feature matrix with optional labels and per-row provenance.
 
     ``features`` is float64 once preprocessed; straight from ``load_csv`` it is
-    an object array of raw cell strings (missing cells are ``None``).
+    an object array of the cell strings as written, missing markers included.
     ``labels`` is None for unlabeled pools. ``provenance`` tracks each row's
     origin through the pipeline stages. Derived datasets (``take``,
     ``with_provenance``, ``with_labels``, ``without_labels``) may share arrays
@@ -154,7 +155,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     try:
         fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise ValueError(f"unreadable file {path}: {exc}") from exc
+        raise ValueError(f"{path}: unreadable file: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         try:
@@ -177,7 +178,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
 def load_csv(path, label_column: str | None = None, schema_hints: dict | None = None) -> Dataset:
     """Read a comma-delimited file with a header row into a raw Dataset.
 
-    Missing cells (empty, "NA", "NaN", any case) become ``None``. A column
+    Cells stay as written (stripped); ``is_missing`` reads them. A column
     literally named ``provenance`` is peeled off into row tags instead of
     features. ``schema_hints`` maps column name -> "numeric"/"categorical"
     and is honored later by preprocessing.
@@ -185,30 +186,20 @@ def load_csv(path, label_column: str | None = None, schema_hints: dict | None = 
     path = Path(path)
     header, rows = read_table(path)
     if label_column is not None and label_column not in header:
-        raise ValueError(f"label column {label_column!r} not found in {path}")
+        raise ValueError(f"{path}: label column {label_column!r} not found")
 
     label_idx = header.index(label_column) if label_column is not None else None
     prov_idx = header.index("provenance") if "provenance" in header else None
     feat_idx = [j for j in range(len(header)) if j not in (label_idx, prov_idx)]
     feature_names = [header[j] for j in feat_idx]
 
-    n = len(rows)
-    features = np.empty((n, len(feat_idx)), dtype=object)
-    for i, row in enumerate(rows):
-        for k, j in enumerate(feat_idx):
-            features[i, k] = None if is_missing(row[j]) else row[j]
-
-    labels = None
-    if label_idx is not None:
-        labels = np.array([row[label_idx] for row in rows], dtype=object)
-
-    provenance = None
-    if prov_idx is not None:
-        tags = [row[prov_idx] for row in rows]
-        for t in tags:
+    table = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    labels = None if label_idx is None else table[:, label_idx]
+    provenance = None if prov_idx is None else table[:, prov_idx]
+    if provenance is not None:
+        for t in provenance:
             if t not in PROVENANCE_TAGS:
                 raise ValueError(f"{path}: unknown provenance tag {t!r}")
-        provenance = np.array(tags, dtype=object)
 
     hints = schema_hints or {}
     kinds = [hints.get(name, "unknown") for name in feature_names]
@@ -216,7 +207,7 @@ def load_csv(path, label_column: str | None = None, schema_hints: dict | None = 
         if kind not in ("numeric", "categorical"):
             raise ValueError(f"schema hint for {name!r} must be numeric or categorical")
 
-    return Dataset(features=features, labels=labels, column_kinds=kinds,
+    return Dataset(features=table[:, feat_idx], labels=labels, column_kinds=kinds,
                    provenance=provenance, feature_names=feature_names)
 
 
@@ -565,7 +556,7 @@ def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,
         raise ValueError("noise_rate must be in [0, 0.5)")
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     n_min = max(1, int(math.floor(n / (1.0 + imbalance_ratio) + 0.5)))

@@ -3,6 +3,7 @@ the cross-validated before/after benchmark, and report emission."""
 
 from __future__ import annotations
 
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -64,7 +65,7 @@ class PipelineConfig:
     unlabeled_path: str = ""
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.classifier = replace(self.classifier, seed=self.seed)
         if self.strategy not in ("auto", "kfulf", "dds"):

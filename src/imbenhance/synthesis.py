@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,55 +110,35 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
     return _as_synthetic(train, rows, minority)
 
 
-class RandomOversampleTechnique:
-    name = "random-oversample"
+class Technique(NamedTuple):
+    """One race entry: ``generate(train, seed=...)`` returns the synthetic minority rows."""
 
-    def __init__(self, target_ratio: float = 1.0):
-        self.target_ratio = target_ratio
-
-    def generate(self, train: Dataset, seed: int) -> Dataset:
-        return random_oversample(train, self.target_ratio, seed)
+    name: str
+    generate: Callable[..., Dataset]
 
 
-class SmoteTechnique:
-    name = "smote"
-
-    def __init__(self, k_neighbors: int = 5, target_ratio: float = 1.0):
-        self.k_neighbors = k_neighbors
-        self.target_ratio = target_ratio
-
-    def generate(self, train: Dataset, seed: int) -> Dataset:
-        return smote(train, self.k_neighbors, self.target_ratio, seed)
-
-
-class ReplayFileTechnique:
+def replay_rows(path: Path, train: Dataset, seed: int) -> Dataset:
     """Reads pre-generated synthetic rows from CSV, so generators trained
     elsewhere (e.g. a tabular GAN) can compete in the F1 race.
 
     The file must carry every feature column of the training data, each cell
     a finite number; extra columns are ignored. All rows are tagged synthetic
-    with the minority label.
+    with the minority label. ``seed`` is ignored.
     """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.name = f"replay:{self.path.name}"
-
-    def generate(self, train: Dataset, seed: int) -> Dataset:
-        header, table = read_table(self.path)
-        name_to_col = {n: j for j, n in enumerate(header)}
-        cols = []
-        for name in train.feature_names:
-            if name not in name_to_col:
-                raise ValueError(f"replay file {self.path} lacks column {name!r}")
-            cols.append(read_numbers([row[name_to_col[name]] for row in table],
-                                     f"replay file {self.path}: column {name!r}"))
-        rows = np.column_stack(cols) if cols else np.empty((len(table), 0))
-        minority, _, _ = _minority_info(train)
-        return _as_synthetic(train, rows, minority)
+    header, table = read_table(path)
+    name_to_col = {n: j for j, n in enumerate(header)}
+    cols = []
+    for name in train.feature_names:
+        if name not in name_to_col:
+            raise ValueError(f"replay file {path} lacks column {name!r}")
+        cols.append(read_numbers([row[name_to_col[name]] for row in table],
+                                 f"replay file {path}: column {name!r}"))
+    rows = np.column_stack(cols) if cols else np.empty((len(table), 0))
+    minority, _, _ = _minority_info(train)
+    return _as_synthetic(train, rows, minority)
 
 
-def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -> list:
+def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -> list[Technique]:
     """The race entries for the config tokens ``names``, in order; a bad token
     or parameter, or two entries of one name, is refused before anything is
     generated, so every report names each entry once."""
@@ -168,11 +150,13 @@ def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -
     built = []
     for name in names:
         if name == "random-oversample":
-            entry = RandomOversampleTechnique(target_ratio)
+            entry = Technique(name, partial(random_oversample, target_ratio=target_ratio))
         elif name == "smote":
-            entry = SmoteTechnique(smote_k_neighbors, target_ratio)
+            entry = Technique(name, partial(smote, k_neighbors=smote_k_neighbors,
+                                            target_ratio=target_ratio))
         elif name.startswith("replay:"):
-            entry = ReplayFileTechnique(name.split(":", 1)[1])
+            path = Path(name.split(":", 1)[1])
+            entry = Technique(f"replay:{path.name}", partial(replay_rows, path))
         else:
             raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
                              f"got {name!r}")

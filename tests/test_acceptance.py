@@ -160,8 +160,8 @@ def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
     real_d = generate_synthetic_benchmark(n=400, d=3, imbalance_ratio=8,
                                           noise_rate=0.1, seed=2)
     real_split = SplitSpec(ratio=0.8, seed=2)
-    from imbenhance.synthesis import RandomOversampleTechnique, SmoteTechnique
-    real_out = meta_synthesize(real_d, [RandomOversampleTechnique(), SmoteTechnique()],
+    from imbenhance.synthesis import build_techniques
+    real_out = meta_synthesize(real_d, build_techniques(["random-oversample", "smote"], 5, 1.0),
                                ClassifierSpec(kind="decision-tree"), real_split)
     check_partition(real_out, real_d, real_split)
     ok(3, "argmax winner selected, ties to list order, validation rows fully "
@@ -186,9 +186,10 @@ def test_c04_filtering_invariants_and_blsd_retention():
     # per-class retention equals min(quota, pool)
     d = generate_synthetic_benchmark(n=600, d=3, imbalance_ratio=8,
                                      noise_rate=0.1, seed=42)
-    from imbenhance.synthesis import RandomOversampleTechnique
+    from imbenhance.synthesis import build_techniques
     spec = ClassifierSpec(kind="decision-tree", max_depth=6)
-    syn = meta_synthesize(d, [RandomOversampleTechnique()], spec, SplitSpec(seed=42))
+    syn = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0), spec,
+                          SplitSpec(seed=42))
     stats = class_stats(d)
     out = filter_sweep(syn.augmented, syn.misclassified, syn.model, spec,
                        thresholds=DEFAULT_THRESHOLD_GRID, original_stats=stats)

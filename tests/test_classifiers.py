@@ -165,6 +165,28 @@ def test_proba_dimension_mismatch():
         predict_proba(m, np.zeros((2, 5)))
 
 
+MODELS = [DecisionTreeModel, RandomForestModel, LogisticRegressionModel]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_fit_refuses_non_finite_features(model, bad):
+    d = two_cluster_dataset()
+    X = d.features.copy()
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match=r"^training features must be finite \(run preprocessing"):
+        model().fit(X, d.labels)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predict_proba_refuses_non_finite_features(model, bad):
+    d = two_cluster_dataset()
+    m = model().fit(d.features, d.labels)
+    with pytest.raises(ValueError, match=r"^scored features must be finite \(run preprocessing"):
+        predict(m, np.array([[0.0, 0.0], [bad, 0.0]]))
+
+
 # ------------------------------------------------------------------ predict
 
 def test_threshold_is_inclusive_at_half():

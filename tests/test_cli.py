@@ -329,7 +329,7 @@ def test_missing_pool_file_fails_as_unreadable(small_csv, tmp_path, capsys):
     code = run_cli("enhance", str(small_csv), "--unlabeled", str(pool),
                    "--out", str(tmp_path / "o"))
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: unreadable file {pool}: ")
+    assert capsys.readouterr().err.startswith(f"error: {pool}: unreadable file: ")
 
 
 def test_pool_cell_that_is_not_a_number_fails_naming_file_column_and_row(small_csv, tmp_path,

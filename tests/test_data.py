@@ -16,6 +16,7 @@ from imbenhance.data import (
     class_stats,
     concat_datasets,
     generate_synthetic_benchmark,
+    is_missing,
     largest_remainder,
     load_csv,
     preprocess,
@@ -69,14 +70,21 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(p, label_column="y")
 
 
+def test_read_errors_start_with_their_file(tmp_path):
+    p = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: unreadable file: "):
+        load_csv(p)
+    p.write_text("a,b\n1,2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: label column 'y' not found$"):
+        load_csv(p, label_column="y")
+
+
 def test_load_csv_missing_markers(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,y\n1,0\n,1\nNA,0\nnan,1\n")
     d = load_csv(p, label_column="y")
-    assert d.features[0, 0] == "1"
-    assert d.features[1, 0] is None
-    assert d.features[2, 0] is None
-    assert d.features[3, 0] is None
+    assert list(d.features[:, 0]) == ["1", "", "NA", "nan"]
+    assert [is_missing(c) for c in d.features[:, 0]] == [False, True, True, True]
 
 
 def test_csv_roundtrip_with_provenance(tmp_path):
@@ -477,11 +485,17 @@ def test_generate_benchmark_noise_flips_labels():
     ({"imbalance_ratio": float("nan")}, "imbalance_ratio must be finite and >= 1, got nan"),
     ({"imbalance_ratio": float("inf")}, "imbalance_ratio must be finite and >= 1, got inf"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
 ])
 def test_generate_benchmark_refuses_a_bad_argument(kw, message):
     args = {"n": 50, "d": 2, "imbalance_ratio": 5.0, **kw}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_synthetic_benchmark(**args)
+
+
+def test_generate_benchmark_takes_a_numpy_integer_seed():
+    assert generate_synthetic_benchmark(50, 2, 5.0, seed=np.int64(3)).equals(
+        generate_synthetic_benchmark(50, 2, 5.0, seed=3))
 
 
 # ----------------------------------------------------------------- dataset

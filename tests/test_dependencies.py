@@ -79,9 +79,8 @@ def test_only_the_stages_pick_by_first_best():
 
 def test_only_synthesis_names_the_technique_classes():
     """Config tokens become race entries in ``synthesis.build_techniques`` alone."""
-    classes = {"RandomOversampleTechnique", "SmoteTechnique", "ReplayFileTechnique"}
     assert {path.name for path in PACKAGE.glob("*.py")
-            if path.name != "__init__.py" and classes & referenced_names(path)} \
+            if path.name != "__init__.py" and "Technique" in referenced_names(path)} \
         == {"synthesis.py"}
 
 

@@ -16,7 +16,7 @@ from imbenhance.filtering import (
     margins,
     retain_by_class,
 )
-from imbenhance.synthesis import RandomOversampleTechnique, meta_synthesize
+from imbenhance.synthesis import build_techniques, meta_synthesize
 
 
 class FixedRowsModel(TrainedModel):
@@ -220,7 +220,7 @@ def test_sweep_refits_only_distinct_candidates(monkeypatch):
 
 def real_pipeline_pieces(seed=42):
     d = generate_synthetic_benchmark(n=500, d=3, imbalance_ratio=8, noise_rate=0.1, seed=seed)
-    out = meta_synthesize(d, [RandomOversampleTechnique()],
+    out = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0),
                           ClassifierSpec(kind="decision-tree", max_depth=6),
                           SplitSpec(ratio=0.8, seed=seed))
     return d, out

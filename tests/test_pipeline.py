@@ -502,6 +502,16 @@ def test_readme_library_block_runs():
     assert len(out.getvalue().splitlines()) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        PipelineConfig(seed=seed)
+
+
+def test_config_takes_a_numpy_integer_seed():
+    assert PipelineConfig(seed=np.int64(3)).classifier.seed == 3
+
+
 @pytest.mark.parametrize("techniques", [[], ["foo"], ["smote", "smoth"]])
 def test_techniques_are_checked_before_any_stage(techniques):
     with pytest.raises(ValueError, match="^techniques must "):

@@ -10,12 +10,11 @@ from imbenhance import synthesis
 from imbenhance.classifiers import ClassifierSpec, TrainedModel
 from imbenhance.data import Dataset, SplitSpec, class_stats, concat_datasets, generate_synthetic_benchmark
 from imbenhance.synthesis import (
-    RandomOversampleTechnique,
-    ReplayFileTechnique,
-    SmoteTechnique,
+    Technique,
     build_techniques,
     meta_synthesize,
     random_oversample,
+    replay_rows,
     smote,
 )
 
@@ -202,7 +201,7 @@ def test_replay_file_technique(tmp_path):
     d = imbalanced_dataset(4, 10)
     p = tmp_path / "syn.csv"
     p.write_text("f0,f1\n1.5,2.5\n3.5,4.5\n")
-    tech = ReplayFileTechnique(p)
+    (tech,) = build_techniques([f"replay:{p}"], 5, 1.0)
     syn = tech.generate(d, seed=0)
     assert syn.n_rows == 2
     assert np.all(syn.labels == 1)
@@ -214,7 +213,7 @@ def test_replay_file_missing_column(tmp_path):
     p = tmp_path / "syn.csv"
     p.write_text("f0\n1.5\n")
     with pytest.raises(ValueError, match="lacks column"):
-        ReplayFileTechnique(p).generate(d, seed=0)
+        build_techniques([f"replay:{p}"], 5, 1.0)[0].generate(d, seed=0)
 
 
 @pytest.mark.parametrize("cell", ["abc", "inf", "1e999", "NA", ""])
@@ -223,7 +222,7 @@ def test_replay_file_bad_cell_names_file_column_and_line(tmp_path, cell):
     p = tmp_path / "syn.csv"
     p.write_text(f"f0,f1\n1.5,2.5\n3.5,{cell}\n")
     with pytest.raises(ValueError) as err:
-        ReplayFileTechnique(p).generate(d, seed=0)
+        build_techniques([f"replay:{p}"], 5, 1.0)[0].generate(d, seed=0)
     assert str(err.value) == (f"replay file {p}: column 'f1' in row 2 must be a finite number, "
                               f"got {cell!r}")
 
@@ -310,7 +309,7 @@ def test_meta_synthesize_bookkeeping_on_benchmark():
 
     d = generate_synthetic_benchmark(n=600, d=3, imbalance_ratio=20, noise_rate=0.05, seed=42)
     split = SplitSpec(ratio=0.8, seed=42)
-    techniques = [RandomOversampleTechnique(), SmoteTechnique()]
+    techniques = build_techniques(["random-oversample", "smote"], 5, 1.0)
     out = meta_synthesize(d, techniques, ClassifierSpec(kind="decision-tree"), split)
 
     train_ds, val_ds = stratified_split(d, split)
@@ -332,7 +331,7 @@ def test_meta_synthesize_bookkeeping_on_benchmark():
 
 def test_meta_synthesize_parity_before_merge():
     d = generate_synthetic_benchmark(n=400, d=3, imbalance_ratio=10, seed=1)
-    out = meta_synthesize(d, [RandomOversampleTechnique(target_ratio=1.0)],
+    out = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0),
                           ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
     pre_merge = out.augmented.take(
         np.flatnonzero(out.augmented.provenance != "validation-merged"))
@@ -342,14 +341,15 @@ def test_meta_synthesize_parity_before_merge():
 
 def test_meta_synthesize_provenance_sets():
     d = generate_synthetic_benchmark(n=300, d=2, imbalance_ratio=5, seed=2)
-    out = meta_synthesize(d, [SmoteTechnique()], ClassifierSpec(), SplitSpec(seed=2))
+    out = meta_synthesize(d, build_techniques(["smote"], 5, 1.0), ClassifierSpec(),
+                          SplitSpec(seed=2))
     assert set(out.augmented.provenance) <= {"original", "synthetic", "validation-merged"}
     assert set(out.misclassified.provenance) <= {"original"}
 
 
 def test_meta_synthesize_chosen_f1_is_max():
     d = generate_synthetic_benchmark(n=400, d=3, imbalance_ratio=8, noise_rate=0.1, seed=3)
-    out = meta_synthesize(d, [RandomOversampleTechnique(), SmoteTechnique()],
+    out = meta_synthesize(d, build_techniques(["random-oversample", "smote"], 5, 1.0),
                           ClassifierSpec(), SplitSpec(seed=3))
     chosen = dict(out.f1_scores)[out.chosen_technique]
     assert all(chosen >= f1 for _, f1 in out.f1_scores)
@@ -357,7 +357,8 @@ def test_meta_synthesize_chosen_f1_is_max():
 
 def test_meta_synthesize_deterministic():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=4)
-    args = ([RandomOversampleTechnique(), SmoteTechnique()], ClassifierSpec(), SplitSpec(seed=4))
+    args = (build_techniques(["random-oversample", "smote"], 5, 1.0), ClassifierSpec(),
+            SplitSpec(seed=4))
     a = meta_synthesize(d, *args)
     b = meta_synthesize(d, *args)
     assert a.chosen_technique == b.chosen_technique
@@ -368,10 +369,11 @@ def test_meta_synthesize_deterministic():
 def test_single_technique_equals_direct_augmentation():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=5)
     split = SplitSpec(ratio=0.8, seed=5)
-    out = meta_synthesize(d, [SmoteTechnique()], ClassifierSpec(), split)
+    (tech,) = build_techniques(["smote"], 5, 1.0)
+    out = meta_synthesize(d, [tech], ClassifierSpec(), split)
     from imbenhance.data import stratified_split
     train, _ = stratified_split(d, split)
-    syn = SmoteTechnique().generate(train, seed=split.seed + 0)
+    syn = tech.generate(train, seed=split.seed + 0)
     direct = concat_datasets([train, syn])
     keep = out.augmented.take(np.flatnonzero(out.augmented.provenance != "validation-merged"))
     assert keep.equals(direct)
@@ -379,9 +381,9 @@ def test_single_technique_equals_direct_augmentation():
 
 def test_meta_synthesize_generates_each_entry_once():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=6)
-    techniques = [RandomOversampleTechnique(), SmoteTechnique(), SmoteTechnique()]
-    for tech in techniques:
-        tech.generate = mock.Mock(wraps=tech.generate)
+    techniques = [Technique(t.name, mock.Mock(wraps=t.generate))
+                  for t in build_techniques(["random-oversample", "smote"], 5, 1.0)
+                  + build_techniques(["smote"], 5, 1.0)]
     meta_synthesize(d, techniques, ClassifierSpec(max_depth=3), SplitSpec(seed=6))
     assert [t.generate.call_count for t in techniques] == [1, 1, 1]
     assert [t.generate.call_args.kwargs["seed"] for t in techniques] == [6, 7, 8]
@@ -392,10 +394,12 @@ def test_meta_synthesize_generates_each_entry_once():
 def test_build_techniques_maps_each_token_in_order(tmp_path):
     built = build_techniques(["smote", f"replay:{tmp_path / 'syn.csv'}", "random-oversample"],
                              smote_k_neighbors=3, target_ratio=0.5)
-    assert [type(t) for t in built] == [SmoteTechnique, ReplayFileTechnique,
-                                        RandomOversampleTechnique]
-    assert (built[0].k_neighbors, built[0].target_ratio, built[2].target_ratio) == (3, 0.5, 0.5)
-    assert built[1].path == tmp_path / "syn.csv"
+    assert [t.name for t in built] == ["smote", "replay:syn.csv", "random-oversample"]
+    assert [(t.generate.func, t.generate.args, t.generate.keywords) for t in built] == [
+        (smote, (), {"k_neighbors": 3, "target_ratio": 0.5}),
+        (replay_rows, (tmp_path / "syn.csv",), {}),
+        (random_oversample, (), {"target_ratio": 0.5}),
+    ]
 
 
 @pytest.mark.parametrize("names, k, ratio, message", [
