@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_seed
 
 
 @dataclass
 class ClassifierSpec:
-    """Which classifier to train and with what settings."""
+    """Which classifier to train and with what settings: ``kind`` is a key of
+    ``MODELS``, and the model class it names reads its settings from the spec."""
 
-    kind: str = "decision-tree"  # decision-tree | random-forest | logistic-regression
+    kind: str = "decision-tree"
     max_depth: int = 12
     n_estimators: int = 50
     learning_rate: float = 0.1
@@ -29,19 +30,24 @@ class ClassifierSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.kind not in ("decision-tree", "random-forest", "logistic-regression"):
+        if self.kind not in MODELS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         if self.max_depth < 1 or self.n_estimators < 1 or self.n_iterations < 1:
             raise ValueError("max_depth, n_estimators and n_iterations must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_seed(self.seed)  # forest members seed from it
 
 
 class TrainedModel:
-    """Base class: fitted parameters plus the ordered label set seen at fit time."""
+    """Base class: the spec it is built from, fitted parameters, and the
+    ordered label set seen at fit time."""
 
     label_set: np.ndarray  # sorted class identifiers
     n_features_: int
+
+    def __init__(self, spec: ClassifierSpec | None = None):
+        self.spec = ClassifierSpec() if spec is None else spec
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "TrainedModel":
         """Encode the classes once, as codes into ``label_set``, and fit on the codes."""
@@ -123,8 +129,8 @@ def _gini(counts, sizes):
 
 
 class DecisionTreeModel(TrainedModel):
-    """CART with Gini impurity, depth cap as the only regularizer, and
-    Laplace-smoothed (+1 per class) leaf frequencies.
+    """CART with Gini impurity, the depth cap ``spec.max_depth`` as the only
+    regularizer, and Laplace-smoothed (+1 per class) leaf frequencies.
 
     A fitted tree is one node table in depth-first order, the root at row 0:
     ``feature_`` and ``threshold_`` (a row goes left iff ``x[feature] <=
@@ -133,9 +139,9 @@ class DecisionTreeModel(TrainedModel):
     the node) and ``probs_`` (``(counts_ + 1) / (node rows + classes)``).
     """
 
-    def __init__(self, max_depth: int = 12, feature_subsample: int | None = None,
-                 rng: np.random.Generator | None = None):
-        self.max_depth = max_depth
+    def __init__(self, spec: ClassifierSpec | None = None,
+                 feature_subsample: int | None = None, rng: np.random.Generator | None = None):
+        super().__init__(spec)
         self.feature_subsample = feature_subsample  # forest members search sqrt(d) features
         self.rng = rng
 
@@ -157,7 +163,7 @@ class DecisionTreeModel(TrainedModel):
         at = len(nodes)
         nodes.append([-1, 0.0, 0, 0, counts])
         n = rows.shape[1]
-        if depth >= self.max_depth or n < 2 or counts.max() == n:
+        if depth >= self.spec.max_depth or n < 2 or counts.max() == n:
             return at
         d = X.shape[1]
         if self.feature_subsample is not None and self.feature_subsample < d:
@@ -191,30 +197,23 @@ class DecisionTreeModel(TrainedModel):
 
 
 class RandomForestModel(TrainedModel):
-    """Bagged trees; probabilities are the mean of member-tree rows.
+    """``spec.n_estimators`` bagged trees; probabilities are the mean of
+    member-tree rows.
 
-    Per-tree seeds are derived as seed + tree index. With bootstrap disabled
-    the bagging and the per-split feature subsampling are both off, so a
-    one-tree forest reduces exactly to the single decision tree.
+    Member i seeds from ``spec.seed + i``. With ``spec.bootstrap`` off the
+    bagging and the per-split feature subsampling are both off, so a one-tree
+    forest reduces exactly to the single decision tree.
     """
-
-    def __init__(self, max_depth: int = 12, n_estimators: int = 50,
-                 bootstrap: bool = True, seed: int = 42):
-        self.max_depth = max_depth
-        self.n_estimators = n_estimators
-        self.bootstrap = bootstrap
-        self.seed = seed
-        self.trees_: list[DecisionTreeModel] = []
 
     def _fit(self, X, codes, n_labels):
         n, d = X.shape
-        subsample = max(1, int(math.floor(math.sqrt(d)))) if self.bootstrap else None
+        spec = self.spec
+        subsample = max(1, int(math.floor(math.sqrt(d)))) if spec.bootstrap else None
         self.trees_ = []
-        for i in range(self.n_estimators):
-            rng = np.random.default_rng(self.seed + i)
-            tree = DecisionTreeModel(max_depth=self.max_depth,
-                                     feature_subsample=subsample, rng=rng)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else slice(None)
+        for i in range(spec.n_estimators):
+            rng = np.random.default_rng(spec.seed + i)
+            tree = DecisionTreeModel(spec, feature_subsample=subsample, rng=rng)
+            idx = rng.integers(0, n, size=n) if spec.bootstrap else slice(None)
             tree._fit(X[idx], codes[idx], n_labels)
             self.trees_.append(tree)
 
@@ -232,16 +231,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticRegressionModel(TrainedModel):
-    """Full-batch gradient descent on cross-entropy; features standardized
-    internally with fit-time mean/stdev. Two labels run one binary descent, on
-    the second label. Three or more train one-vs-rest: one independent binary
-    descent per label, with row-normalized sigmoid outputs."""
-
-    def __init__(self, learning_rate: float = 0.1, n_iterations: int = 500):
-        self.learning_rate = learning_rate
-        self.n_iterations = n_iterations
-        self.weights_: np.ndarray | None = None  # (n_classes_or_1, d)
-        self.biases_: np.ndarray | None = None
+    """Full-batch gradient descent on cross-entropy, ``spec.n_iterations``
+    steps of ``spec.learning_rate``; features standardized internally with
+    fit-time mean/stdev. Two labels run one binary descent, on the second
+    label. Three or more train one-vs-rest: one independent binary descent
+    per label, with row-normalized sigmoid outputs."""
 
     def _fit(self, X, codes, n_labels):
         self.mean_ = X.mean(axis=0)
@@ -258,15 +252,16 @@ class LogisticRegressionModel(TrainedModel):
         (1, d) weights and the (1,) bias. Every step reuses one (n, 1)
         residual buffer."""
         n, d = Z.shape
+        learning_rate = self.spec.learning_rate
         w, b = np.zeros((1, d)), np.zeros(1)
         r = np.empty((n, 1))
-        for _ in range(self.n_iterations):
+        for _ in range(self.spec.n_iterations):
             np.matmul(Z, w.T, out=r)
             r += b
             _sigmoid(r)
             r -= t
-            w -= self.learning_rate * (r.T @ Z / n)
-            b -= self.learning_rate * (np.add.reduce(r, axis=0) / n)
+            w -= learning_rate * (r.T @ Z / n)
+            b -= learning_rate * (np.add.reduce(r, axis=0) / n)
         return w, b
 
     def _proba(self, X):
@@ -277,6 +272,11 @@ class LogisticRegressionModel(TrainedModel):
         return p / p.sum(axis=1, keepdims=True)
 
 
+# The classifier kinds, each a ClassifierSpec ``kind`` and the model class it builds.
+MODELS = {"decision-tree": DecisionTreeModel, "random-forest": RandomForestModel,
+          "logistic-regression": LogisticRegressionModel}
+
+
 def _features_of(x) -> np.ndarray:
     if isinstance(x, Dataset):
         return np.asarray(x.features, dtype=float)
@@ -284,19 +284,12 @@ def _features_of(x) -> np.ndarray:
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
-    """Train the classifier named by ``spec`` on a labeled dataset."""
+    """Train the model class ``spec.kind`` names, built from ``spec``, on a labeled dataset."""
     if train.labels is None:
         raise ValueError("training dataset must be labeled")
     if train.n_rows == 0:
         raise ValueError("empty training set")
-    X = _features_of(train)
-    if spec.kind == "decision-tree":
-        return DecisionTreeModel(max_depth=spec.max_depth).fit(X, train.labels)
-    if spec.kind == "random-forest":
-        return RandomForestModel(max_depth=spec.max_depth, n_estimators=spec.n_estimators,
-                                 bootstrap=spec.bootstrap, seed=spec.seed).fit(X, train.labels)
-    return LogisticRegressionModel(learning_rate=spec.learning_rate,
-                                   n_iterations=spec.n_iterations).fit(X, train.labels)
+    return MODELS[spec.kind](spec).fit(_features_of(train), train.labels)
 
 
 def predict_proba(m: TrainedModel, x) -> np.ndarray:

@@ -491,6 +491,14 @@ class SplitSpec:
             raise ValueError("holdout ratio must be in (0, 1)")
         if self.mode == "k-fold" and self.k < 2:
             raise ValueError("k must be at least 2")
+        check_seed(self.seed)
+
+
+def check_seed(seed):
+    """Refuse a seed numpy cannot take: it must be a non-negative integer,
+    a numpy integer included."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def largest_remainder(fractions, total: int) -> np.ndarray:
@@ -556,8 +564,7 @@ def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,
         raise ValueError("noise_rate must be in [0, 0.5)")
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
 
     n_min = max(1, int(math.floor(n / (1.0 + imbalance_ratio) + 0.5)))
     n_maj = n - n_min

@@ -3,7 +3,6 @@ the cross-validated before/after benchmark, and report emission."""
 
 from __future__ import annotations
 
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, fit, predict
+from .classifiers import MODELS, ClassifierSpec, fit, predict
 from .data import (
     ClassStats,
     Dataset,
@@ -42,7 +41,8 @@ METRIC_NAMES = EVAL_CSV_COLUMNS[:6]
 @dataclass
 class PipelineConfig:
     """Everything a pipeline run depends on; serializable as flat key = value.
-    ``seed`` also seeds the classifier: ``classifier.seed`` is always ``seed``."""
+    ``seed`` also seeds the classifier: ``classifier.seed`` is always ``seed``,
+    and the classifier spec checks it."""
 
     seed: int = 42
     label_column: str = "y"
@@ -65,8 +65,6 @@ class PipelineConfig:
     unlabeled_path: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.classifier = replace(self.classifier, seed=self.seed)
         if self.strategy not in ("auto", "kfulf", "dds"):
             raise ValueError("strategy must be auto, kfulf, or dds")
@@ -294,7 +292,7 @@ CONFIG_KEYS = (
     ("label_column", "label_column", str, "label column name"),
     ("positive_label", "positive_label", str, "label that becomes class 1 (blank: minority)"),
     ("seed", "seed", int, "seed of splits, sampling and the classifier"),
-    ("classifier", "classifier.kind", str, "decision-tree | random-forest | logistic-regression"),
+    ("classifier", "classifier.kind", str, " | ".join(MODELS)),
     ("max_depth", "classifier.max_depth", int, "tree depth cap"),
     ("n_estimators", "classifier.n_estimators", int, "random-forest tree count"),
     ("learning_rate", "classifier.learning_rate", float, "logistic-regression step size"),
@@ -463,40 +461,32 @@ def benchmark_summary(reports: BenchmarkResult) -> str:
 
 
 def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | None,
-                out_dir, cfg: PipelineConfig) -> list:
+                out_dir, cfg: PipelineConfig) -> None:
     """Write the enhanced dataset, stage summaries, metric tables, and the
-    resolved config into ``out_dir``. Returns the written paths.
+    resolved config into ``out_dir``.
 
     Timings are intentionally left out of the files so identical runs produce
     byte-identical reports; they are returned in-memory on the result instead.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def record(path):
-        written.append(path)
-        return path
-
     (out / "config_resolved.txt").write_text(serialize_config(cfg), encoding="utf-8")
-    record(out / "config_resolved.txt")
 
     if result is not None:
-        write_csv(result.enhanced, record(out / "enhanced.csv"),
+        write_csv(result.enhanced, out / "enhanced.csv",
                   label_column=cfg.label_column, include_provenance=True)
 
         race_rows = []
         if result.synthesis is not None:
             race_rows = [[name, f1, "chosen" if i == result.synthesis.chosen else ""]
                          for i, (name, f1) in enumerate(result.synthesis.f1_scores)]
-        write_table(record(out / "synthesis_race.csv"),
-                    ["technique", "f1", "chosen"], race_rows)
+        write_table(out / "synthesis_race.csv", ["technique", "f1", "chosen"], race_rows)
 
         sweep_rows = []
         if result.filtering is not None:
             sweep_rows = [[e.threshold, e.f1, e.kept_count, e.filtered_out_count,
                            e.retained_count] for e in result.filtering.table]
-        write_table(record(out / "filter_sweep.csv"),
+        write_table(out / "filter_sweep.csv",
                     ["threshold", "f1", "kept_count", "filtered_out_count", "retained_count"],
                     sweep_rows)
 
@@ -504,21 +494,17 @@ def emit_report(result: EnhancementResult | None, reports: BenchmarkResult | Non
         if result.selflearn is not None:
             log_rows = [[result.selflearn.strategy_used] + [e.get(c, "") for c in LOG_COLUMNS]
                         for e in result.selflearn.log]
-        write_table(record(out / "selflearn_log.csv"), ["strategy", *LOG_COLUMNS], log_rows)
+        write_table(out / "selflearn_log.csv", ["strategy", *LOG_COLUMNS], log_rows)
 
         lines = [_distribution_summary("input", result.input_data)]
         lines.append(_distribution_summary("augmented", result.aug))
         lines.append(_distribution_summary("filtered", result.filtered))
         lines.append(_distribution_summary("enhanced", result.enhanced))
         lines += decision_lines(result)
-        (record(out / "summary.txt")).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if reports is not None:
         header = ["fold"] + EVAL_CSV_COLUMNS
-        write_table(record(out / "benchmark_baseline.csv"), header,
-                    _report_rows(reports.baseline))
-        write_table(record(out / "benchmark_enhanced.csv"), header,
-                    _report_rows(reports.enhanced))
-        (record(out / "benchmark_summary.txt")).write_text(benchmark_summary(reports),
-                                                           encoding="utf-8")
-    return written
+        write_table(out / "benchmark_baseline.csv", header, _report_rows(reports.baseline))
+        write_table(out / "benchmark_enhanced.csv", header, _report_rows(reports.enhanced))
+        (out / "benchmark_summary.txt").write_text(benchmark_summary(reports), encoding="utf-8")

@@ -45,12 +45,15 @@ class PseudoLabelConfig:
 class SelfLearnOutcome:
     enhanced: Dataset            # train plus accepted pseudo-labeled rows
     strategy_used: str           # "KFULF" | "DDS"
-    pseudo_count: int
     log: list = field(default_factory=list)
     pseudo_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     pseudo_labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     selection_f1: dict | None = None  # set by select_strategy
     model: TrainedModel | None = None  # DDS: the fit on ``enhanced``, for select_strategy
+
+    @property
+    def pseudo_count(self) -> int:
+        return len(self.pseudo_indices)
 
 
 def _pseudo_dataset(unlabeled: Dataset, indices, labels) -> Dataset:
@@ -65,10 +68,8 @@ def _outcome(train: Dataset, unlabeled: Dataset, strategy: str, indices: list,
     pseudo_lbl = np.array(labels, dtype=int)
     enhanced = train if len(pseudo_idx) == 0 else concat_datasets(
         [train, _pseudo_dataset(unlabeled, pseudo_idx, pseudo_lbl)])
-    return SelfLearnOutcome(enhanced=enhanced, strategy_used=strategy,
-                            pseudo_count=len(pseudo_idx), log=log,
-                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl,
-                            model=model)
+    return SelfLearnOutcome(enhanced=enhanced, strategy_used=strategy, log=log,
+                            pseudo_indices=pseudo_idx, pseudo_labels=pseudo_lbl, model=model)
 
 
 def kfulf(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSpec,
@@ -161,8 +162,8 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         accepted_idx.extend(pool_ids[top].tolist())
         accepted_labels.extend(np.asarray(y_sel).tolist())
         pool_ids = np.delete(pool_ids, top)
-    return SelfLearnOutcome(enhanced=kept, strategy_used="DDS", pseudo_count=len(accepted_idx),
-                            log=log, pseudo_indices=np.array(accepted_idx, dtype=int),
+    return SelfLearnOutcome(enhanced=kept, strategy_used="DDS", log=log,
+                            pseudo_indices=np.array(accepted_idx, dtype=int),
                             pseudo_labels=np.array(accepted_labels, dtype=int), model=kept_model)
 
 

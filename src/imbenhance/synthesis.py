@@ -160,10 +160,18 @@ def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -
         else:
             raise ValueError("techniques must be random-oversample, smote or replay:PATH, "
                              f"got {name!r}")
-        if entry.name in [other.name for other in built]:
-            raise ValueError(f"techniques: two entries are named {entry.name!r}")
         built.append(entry)
+    _refuse_repeated_names(built)
     return built
+
+
+def _refuse_repeated_names(techniques: list):
+    """A report names each race entry once, so two entries of one name are refused."""
+    seen = set()
+    for tech in techniques:
+        if tech.name in seen:
+            raise ValueError(f"techniques: two entries are named {tech.name!r}")
+        seen.add(tech.name)
 
 
 def split_by_error(m: TrainedModel, val: Dataset) -> tuple[Dataset, Dataset]:
@@ -200,6 +208,7 @@ def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpe
     """
     if not techniques:
         raise ValueError("technique list is empty")
+    _refuse_repeated_names(techniques)
     if split.mode != "holdout":
         raise ValueError("meta_synthesize needs a holdout split spec")
     train, val = stratified_split(d, split)

@@ -403,7 +403,7 @@ def test_c11_classifier_sanity():
     rng = np.random.default_rng(99)
     X = rng.normal(size=(1000, 4))
     y = rng.integers(0, 2, size=1000)
-    tree = DecisionTreeModel(max_depth=12).fit(X, y)
+    tree = DecisionTreeModel(ClassifierSpec(max_depth=12)).fit(X, y)
     assert tree_depth(tree) <= 12
 
     d = generate_synthetic_benchmark(n=500, d=4, imbalance_ratio=6,

@@ -1,5 +1,8 @@
+import dataclasses
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,19 +52,26 @@ def logistic_loss_path(X, y, learning_rate, n_iterations):
     """Training cross-entropy after 0, 1, ..., n_iterations gradient steps.
 
     Descent is deterministic, so the model after k steps of a long fit is the
-    model a fit with ``n_iterations=k`` returns.
+    model a fit with ``n_iterations=k`` returns. A spec refuses zero steps, so
+    the 0-step point is the zero-weight model's: p = 0.5 for every row.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y)
-    eps = 1e-12
-    losses = []
-    for k in range(n_iterations + 1):
-        m = LogisticRegressionModel(learning_rate=learning_rate, n_iterations=k).fit(X, y)
-        if len(m.label_set) == 2:
-            t = (y == m.label_set[1]).astype(float)[:, None]
-        else:
-            t = np.column_stack([(y == c).astype(float) for c in m.label_set])
+    label_set = np.unique(y)
+    if len(label_set) == 2:
+        t = (y == label_set[1]).astype(float)[:, None]
+    else:
+        t = np.column_stack([(y == c).astype(float) for c in label_set])
+
+    def loss(p, eps=1e-12):
+        return float(-np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps)))
+
+    losses = [loss(np.full(t.shape, 0.5))]
+    for k in range(1, n_iterations + 1):
+        spec = ClassifierSpec(kind="logistic-regression", learning_rate=learning_rate,
+                              n_iterations=k)
+        m = LogisticRegressionModel(spec).fit(X, y)
         p = 1 / (1 + np.exp(-((X - m.mean_) / m.std_ @ m.weights_.T + m.biases_)))
-        losses.append(float(-np.mean(t * np.log(p + eps) + (1 - t) * np.log(1 - p + eps))))
+        losses.append(loss(p))
     return losses
 
 
@@ -108,6 +118,36 @@ def test_spec_refuses_a_learning_rate_not_finite_and_positive(rate):
         ClassifierSpec(learning_rate=rate)
 
 
+def test_no_model_constructor_restates_a_spec_field():
+    spec_fields = {f.name for f in dataclasses.fields(ClassifierSpec)}
+    for model in MODELS:
+        assert spec_fields.isdisjoint(inspect.signature(model).parameters), model
+
+
+@pytest.mark.parametrize("model, kind, bad, message", [
+    (RandomForestModel, "random-forest", {"n_estimators": 0},
+     "max_depth, n_estimators and n_iterations must be positive"),
+    (DecisionTreeModel, "decision-tree", {"max_depth": 0},
+     "max_depth, n_estimators and n_iterations must be positive"),
+    (DecisionTreeModel, "decision-tree", {"max_depth": -3},
+     "max_depth, n_estimators and n_iterations must be positive"),
+    (LogisticRegressionModel, "logistic-regression", {"learning_rate": math.nan},
+     "learning_rate must be finite and > 0, got nan"),
+    (LogisticRegressionModel, "logistic-regression", {"learning_rate": -1.0},
+     "learning_rate must be finite and > 0, got -1.0"),
+    (RandomForestModel, "random-forest", {"seed": 1.5},
+     "seed must be a non-negative integer, got 1.5"),
+    (RandomForestModel, "random-forest", {"seed": -1},
+     "seed must be a non-negative integer, got -1"),
+])
+def test_a_model_is_built_only_from_a_checked_spec(model, kind, bad, message):
+    d = two_cluster_dataset()
+    spec = ClassifierSpec(kind=kind, n_estimators=2)
+    assert model(spec).fit(d.features, d.labels).spec is spec
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model(dataclasses.replace(spec, **bad))
+
+
 # -------------------------------------------------------------- predict_proba
 
 def test_proba_rows_sum_to_one():
@@ -124,7 +164,7 @@ def test_pure_leaf_is_laplace_smoothed():
     # 4 rows of class 1 in one leaf: (0+1)/(4+2), (4+1)/(4+2)
     X = np.array([[0.0], [0.0], [0.0], [0.0], [9.0]])
     y = np.array([1, 1, 1, 1, 0])
-    m = DecisionTreeModel(max_depth=3).fit(X, y)
+    m = DecisionTreeModel(ClassifierSpec(max_depth=3)).fit(X, y)
     p = m.predict_proba(np.array([[0.0]]))
     assert np.allclose(p[0], [1.0 / 6.0, 5.0 / 6.0])
 
@@ -151,7 +191,7 @@ def one_leaf_tree(probs) -> DecisionTreeModel:
 
 
 def test_forest_probability_is_mean_of_trees():
-    forest = RandomForestModel(n_estimators=2)
+    forest = RandomForestModel(ClassifierSpec(kind="random-forest", n_estimators=2))
     forest.label_set = np.array([0, 1])
     forest.n_features_ = 1
     forest.trees_ = [one_leaf_tree([1.0, 0.0]), one_leaf_tree([0.0, 1.0])]
@@ -230,7 +270,7 @@ def test_tree_depth_respects_default_cap():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(800, 4))
     y = rng.integers(0, 2, size=800)  # pure noise forces deep growth
-    m = DecisionTreeModel(max_depth=12).fit(X, y)
+    m = DecisionTreeModel(ClassifierSpec(max_depth=12)).fit(X, y)
     assert tree_depth(m) <= 12
 
 
@@ -251,7 +291,8 @@ def test_logistic_loss_non_increasing_at_small_lr():
 def test_logistic_multiclass_one_vs_rest():
     X = np.vstack([np.full((10, 2), v) for v in (0.0, 5.0, 10.0)])
     y = np.array([-1] * 10 + [0] * 10 + [1] * 10)
-    m = LogisticRegressionModel(n_iterations=800).fit(X, y)
+    m = LogisticRegressionModel(ClassifierSpec(kind="logistic-regression",
+                                               n_iterations=800)).fit(X, y)
     assert list(m.label_set) == [-1, 0, 1]
     p = m.predict_proba(X)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
@@ -312,7 +353,8 @@ LOGISTIC_PROBLEMS = pytest.mark.parametrize("n, labels, seed", [
 @LOGISTIC_PROBLEMS
 def test_logistic_fit_matches_the_plain_gradient_step_bit_for_bit(n, labels, seed):
     X, y = _logistic_problem(n, labels, seed)
-    m = LogisticRegressionModel(learning_rate=0.3, n_iterations=30).fit(X, y)
+    m = LogisticRegressionModel(ClassifierSpec(kind="logistic-regression", learning_rate=0.3,
+                                               n_iterations=30)).fit(X, y)
     weights, biases = reference_logistic_weights(X, y, 0.3, 30)
     assert np.array_equal(m.weights_, weights) and np.array_equal(m.biases_, biases)
 
@@ -320,7 +362,8 @@ def test_logistic_fit_matches_the_plain_gradient_step_bit_for_bit(n, labels, see
 @LOGISTIC_PROBLEMS
 def test_logistic_fit_matches_the_stacked_step(n, labels, seed):
     X, y = _logistic_problem(n, labels, seed)
-    m = LogisticRegressionModel(learning_rate=0.3, n_iterations=30).fit(X, y)
+    m = LogisticRegressionModel(ClassifierSpec(kind="logistic-regression", learning_rate=0.3,
+                                               n_iterations=30)).fit(X, y)
     weights, biases = stacked_logistic_weights(X, y, 0.3, 30)
     np.testing.assert_allclose(m.weights_, weights, rtol=1e-12, atol=0)
     np.testing.assert_allclose(m.biases_, biases, rtol=1e-12, atol=0)
@@ -378,7 +421,8 @@ def test_zero_feature_training_set_fits_one_leaf():
 def test_forest_member_keeps_label_set_when_bootstrap_drops_a_class():
     X = np.arange(12.0)[:, None]
     y = np.array([0] * 11 + [1])
-    forest = RandomForestModel(n_estimators=10, seed=0).fit(X, y)
+    forest = RandomForestModel(ClassifierSpec(kind="random-forest", n_estimators=10,
+                                              seed=0)).fit(X, y)
     # member i bootstraps with rng(seed + i); at least one misses the minority row
     assert any(11 not in np.random.default_rng(i).integers(0, 12, size=12) for i in range(10))
     for tree in forest.trees_:
@@ -494,11 +538,12 @@ def table_problems(draw):
     y = np.array(draw(st.lists(st.sampled_from(label_set), min_size=n, max_size=n)))
     y[:len(label_set)] = label_set                      # every label is present
     if draw(st.booleans()):
-        model = DecisionTreeModel(max_depth=draw(st.integers(1, 6)))
+        model = DecisionTreeModel(ClassifierSpec(max_depth=draw(st.integers(1, 6))))
     else:
-        model = RandomForestModel(max_depth=draw(st.integers(1, 6)),
-                                  n_estimators=draw(st.integers(1, 3)),
-                                  seed=draw(st.integers(0, 100)))
+        model = RandomForestModel(ClassifierSpec(kind="random-forest",
+                                                 max_depth=draw(st.integers(1, 6)),
+                                                 n_estimators=draw(st.integers(1, 3)),
+                                                 seed=draw(st.integers(0, 100))))
     X = X.reshape(n + 5, d)
     return model, X[:n], y, X                           # scored on 5 other rows too
 

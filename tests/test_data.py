@@ -368,6 +368,12 @@ def test_kfold_split_exact_divisibility():
         assert int(np.sum(f.labels == 1)) == 1 and int(np.sum(f.labels == 0)) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+def test_split_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        SplitSpec(seed=seed)
+
+
 def test_kfold_class_too_small():
     y = [1] * 2 + [0] * 7
     d = make_labeled(np.zeros((9, 1)), y)

@@ -1,8 +1,9 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
 list, CSV text is handled in one module, F1 is scored in one module, only
-the stages pick a winner, the technique classes are named in one module,
-each module imports only lower layers, no module reaches into another's
-private names, and bad input raises nothing but ValueError."""
+the stages pick a winner, the technique classes and the model classes are
+each named in one module, each module imports only lower layers, no module
+reaches into another's private names, and bad input raises nothing but
+ValueError."""
 
 import ast
 import re
@@ -82,6 +83,13 @@ def test_only_synthesis_names_the_technique_classes():
     assert {path.name for path in PACKAGE.glob("*.py")
             if path.name != "__init__.py" and "Technique" in referenced_names(path)} \
         == {"synthesis.py"}
+
+
+def test_only_classifiers_names_the_model_classes():
+    """``classifiers.fit`` is the one place a spec becomes a model."""
+    models = {"DecisionTreeModel", "RandomForestModel", "LogisticRegressionModel"}
+    assert {path.name for path in PACKAGE.glob("*.py")
+            if models & referenced_names(path)} == {"classifiers.py"}
 
 
 # Lowest first; a module imports only from layers below its own.

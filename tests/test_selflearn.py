@@ -209,8 +209,14 @@ def test_log_entries_are_keyed_by_the_log_columns(strategy, first_index):
 # ------------------------------------------------------------ select_strategy
 
 def rigged_strategy(name):
-    return lambda train, pool, spec, cfg: SelfLearnOutcome(
-        enhanced=train, strategy_used=name, pseudo_count=0)
+    return lambda train, pool, spec, cfg: SelfLearnOutcome(enhanced=train, strategy_used=name)
+
+
+def test_pseudo_count_is_the_number_of_pseudo_labeled_rows():
+    out = SelfLearnOutcome(enhanced=small_train(), strategy_used="DDS",
+                           pseudo_indices=np.array([4, 0, 2]), pseudo_labels=np.array([1, 0, 1]))
+    assert out.pseudo_count == 3
+    assert SelfLearnOutcome(enhanced=small_train(), strategy_used="KFULF").pseudo_count == 0
 
 
 def rig_strategies(monkeypatch, holdout_f1s):

@@ -304,6 +304,16 @@ def test_meta_synthesize_empty_technique_list():
         meta_synthesize(small_dataset(), [], ClassifierSpec(), SplitSpec())
 
 
+def test_meta_synthesize_refuses_two_entries_of_one_name():
+    d = generate_synthetic_benchmark(n=300, d=2, imbalance_ratio=5.0, seed=0)
+    techniques = [Technique("x", mock.Mock(wraps=random_oversample)),
+                  Technique("y", mock.Mock(wraps=smote)),
+                  Technique("x", mock.Mock(wraps=smote))]
+    with pytest.raises(ValueError, match="^techniques: two entries are named 'x'$"):
+        meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec())
+    assert all(t.generate.call_count == 0 for t in techniques)
+
+
 def test_meta_synthesize_bookkeeping_on_benchmark():
     from imbenhance.data import stratified_split
 
@@ -381,9 +391,10 @@ def test_single_technique_equals_direct_augmentation():
 
 def test_meta_synthesize_generates_each_entry_once():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=6)
-    techniques = [Technique(t.name, mock.Mock(wraps=t.generate))
-                  for t in build_techniques(["random-oversample", "smote"], 5, 1.0)
-                  + build_techniques(["smote"], 5, 1.0)]
+    techniques = [Technique(name, mock.Mock(wraps=t.generate))
+                  for name, t in zip(["random-oversample", "smote", "smote-again"],
+                                     build_techniques(["random-oversample", "smote"], 5, 1.0)
+                                     + build_techniques(["smote"], 5, 1.0))]
     meta_synthesize(d, techniques, ClassifierSpec(max_depth=3), SplitSpec(seed=6))
     assert [t.generate.call_count for t in techniques] == [1, 1, 1]
     assert [t.generate.call_args.kwargs["seed"] for t in techniques] == [6, 7, 8]
