@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_seed
+from .data import Dataset, check_count
+
+# A {0, 1} model predicts class 1 iff p(y=1|x) is at least this.
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass
@@ -32,11 +35,11 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in MODELS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.max_depth < 1 or self.n_estimators < 1 or self.n_iterations < 1:
-            raise ValueError("max_depth, n_estimators and n_iterations must be positive")
+        for name in ("max_depth", "n_estimators", "n_iterations"):
+            check_count(name, getattr(self, name), 1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        check_seed(self.seed)  # forest members seed from it
+        check_count("seed", self.seed, 0)  # forest members seed from it
 
 
 class TrainedModel:
@@ -297,17 +300,15 @@ def predict_proba(m: TrainedModel, x) -> np.ndarray:
     return m.predict_proba(_features_of(x))
 
 
-def predict(m: TrainedModel, x, threshold: float = 0.5) -> np.ndarray:
+def predict(m: TrainedModel, x) -> np.ndarray:
     """Labels from probabilities.
 
     Binary {0, 1} models use the inclusive decision rule: predict 1 iff
-    p(y=1|x) >= threshold. Any other label set uses argmax with ties going to
-    the smaller label id.
+    p(y=1|x) >= ``DECISION_THRESHOLD``. Any other label set uses argmax with
+    ties going to the smaller label id.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
     proba = predict_proba(m, x)
     labels = np.asarray(m.label_set)
     if len(labels) == 2 and labels[0] == 0 and labels[1] == 1:
-        return (proba[:, 1] >= threshold).astype(int)
+        return (proba[:, 1] >= DECISION_THRESHOLD).astype(int)
     return labels[np.argmax(proba, axis=1)]

@@ -8,6 +8,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .classifiers import DECISION_THRESHOLD
 from .data import (
     BinaryLabels,
     Preprocessor,
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("metrics", help="score a predictions CSV (columns: label, score"
                                         "[, prediction])")
     sp.add_argument("predictions", help="CSV with label and score columns")
-    sp.add_argument("--threshold", type=float, default=0.5)
+    sp.add_argument("--threshold", type=float, default=DECISION_THRESHOLD)
     sp.add_argument("--out", help="optionally also write the report as CSV")
     return p
 

@@ -17,6 +17,9 @@ PROVENANCE_TAGS = ("original", "synthetic", "retained", "pseudo-labeled", "valid
 # cell values (after strip, lowercased) treated as missing in raw CSV data
 _MISSING_MARKERS = {"", "na", "nan"}
 
+# Preprocessing drops a feature column when more than this share of its cells is missing.
+MISSING_DROP_SHARE = 0.5
+
 
 @contextmanager
 def prefix_errors(prefix: str):
@@ -294,7 +297,7 @@ def _encode_categories(strings, fill, codes: dict) -> np.ndarray:
 class Preprocessor:
     """Feature-column cleanup fitted on one dataset and replayable on another.
 
-    Drops columns whose missing fraction exceeds ``missing_drop_threshold``
+    Drops columns whose missing fraction exceeds ``MISSING_DROP_SHARE``
     (strictly), mode-fills the remaining gaps, and label-encodes non-numeric
     columns in first-appearance order. Every cell is read through its ``str``.
     Missing and non-finite cells are gaps; in a column read as numbers, any
@@ -307,10 +310,7 @@ class Preprocessor:
     call. Labels pass through both unchanged.
     """
 
-    def __init__(self, missing_drop_threshold: float = 0.5):
-        if not 0 <= missing_drop_threshold <= 1:
-            raise ValueError("missing_drop_threshold must be in [0, 1]")
-        self.missing_drop_threshold = missing_drop_threshold
+    def __init__(self):
         self._plan: list[tuple[str, str, object, dict | None]] | None = None
 
     def fit_transform(self, raw: Dataset) -> Dataset:
@@ -364,7 +364,7 @@ class Preprocessor:
         return self._output(raw, columns)
 
     def _drops(self, missing: np.ndarray) -> bool:
-        return len(missing) > 0 and np.mean(missing) > self.missing_drop_threshold
+        return len(missing) > 0 and np.mean(missing) > MISSING_DROP_SHARE
 
     def _output(self, raw: Dataset, columns: list) -> Dataset:
         return Dataset(features=np.column_stack(columns), labels=raw.labels,
@@ -396,10 +396,10 @@ def _encode_labels(raw_labels, codes: dict | None) -> np.ndarray:
     return values.astype(int)
 
 
-def preprocess(raw: Dataset, missing_drop_threshold: float = 0.5) -> Dataset:
+def preprocess(raw: Dataset) -> Dataset:
     """One-shot fit-and-transform cleanup (see ``Preprocessor``) that also reads
     the labels as ints: integers by value, or else strings coded by first appearance."""
-    out = Preprocessor(missing_drop_threshold).fit_transform(raw)
+    out = Preprocessor().fit_transform(raw)
     if raw.labels is None:
         return out
     return out.with_labels(_encode_labels(raw.labels, None if _numeric_labels(raw.labels) else {}))
@@ -489,16 +489,16 @@ class SplitSpec:
             raise ValueError("mode must be 'holdout' or 'k-fold'")
         if self.mode == "holdout" and not 0 < self.ratio < 1:
             raise ValueError("holdout ratio must be in (0, 1)")
-        if self.mode == "k-fold" and self.k < 2:
-            raise ValueError("k must be at least 2")
-        check_seed(self.seed)
+        if self.mode == "k-fold":
+            check_count("k", self.k, 2)
+        check_count("seed", self.seed, 0)
 
 
-def check_seed(seed):
-    """Refuse a seed numpy cannot take: it must be a non-negative integer,
-    a numpy integer included."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def check_count(name: str, value, minimum: int):
+    """The one rule for every count and seed: ``value`` must be an integer,
+    a numpy integer included, of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 def largest_remainder(fractions, total: int) -> np.ndarray:
@@ -562,9 +562,9 @@ def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,
         raise ValueError(f"separation must be finite, got {separation}")
     if not 0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    check_seed(seed)
+    check_count("n", n, 2)
+    check_count("d", d, 1)
+    check_count("seed", seed, 0)
 
     n_min = max(1, int(math.floor(n / (1.0 + imbalance_ratio) + 0.5)))
     n_maj = n - n_min

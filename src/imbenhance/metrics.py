@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import TrainedModel, predict, predict_proba
+from .classifiers import DECISION_THRESHOLD, TrainedModel, predict, predict_proba
 from .data import Dataset
 
 EVAL_CSV_COLUMNS = ["precision", "recall", "f1", "accuracy", "auc", "ks",
@@ -40,7 +40,7 @@ class EvalReport:
     auc: float
     ks: float
     counts: ConfusionCounts
-    threshold: float = 0.5
+    threshold: float = DECISION_THRESHOLD
 
     def to_csv_row(self) -> list:
         c = self.counts
@@ -89,8 +89,8 @@ def f1_score(labels, predictions) -> float:
 
 
 def decision_f1(m: TrainedModel, d: Dataset) -> float:
-    """F1 of ``m``'s predictions at threshold 0.5 on ``d``: every stage's decision score."""
-    return f1_score(d.labels, predict(m, d, threshold=0.5))
+    """F1 of ``m``'s predictions on ``d``: every stage's decision score."""
+    return f1_score(d.labels, predict(m, d))
 
 
 def first_best(scores) -> int:
@@ -137,17 +137,18 @@ def ks_statistic(labels, scores) -> float:
     return float(np.max(tpr - fpr))
 
 
-def evaluate(m: TrainedModel, test: Dataset, threshold: float = 0.5) -> EvalReport:
+def evaluate(m: TrainedModel, test: Dataset) -> EvalReport:
     """Score a binary {0, 1} model: ``score_report`` of its p(y=1|x) on ``test``."""
     if test.labels is None:
         raise ValueError("evaluate requires a labeled dataset")
     labels = np.asarray(m.label_set)
     if len(labels) != 2 or labels[0] != 0 or labels[1] != 1:
         raise ValueError("evaluate requires a model with label set {0, 1}")
-    return score_report(test.labels, predict_proba(m, test)[:, 1], threshold)
+    return score_report(test.labels, predict_proba(m, test)[:, 1])
 
 
-def score_report(labels, scores, threshold: float = 0.5, predictions=None) -> EvalReport:
+def score_report(labels, scores, threshold: float = DECISION_THRESHOLD,
+                 predictions=None) -> EvalReport:
     """Confusion metrics of the predictions, by default ``scores >= threshold``
     (the rule ``predict`` applies to a {0, 1} model); AUC and KS of the scores."""
     if not 0.0 <= threshold <= 1.0:

@@ -16,6 +16,7 @@ from .data import (
     ClassStats,
     Dataset,
     SplitSpec,
+    check_count,
     class_stats,
     concat_datasets,
     prefix_errors,
@@ -66,12 +67,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.classifier = replace(self.classifier, seed=self.seed)
+        self.techniques, self.threshold_grid = list(self.techniques), tuple(self.threshold_grid)
         if self.strategy not in ("auto", "kfulf", "dds"):
             raise ValueError("strategy must be auto, kfulf, or dds")
         if not 0.0 <= self.hide_labels < 1.0:
             raise ValueError("hide_labels must be in [0, 1)")
-        if self.benchmark_folds < 2:
-            raise ValueError("benchmark_folds must be at least 2")
+        check_count("benchmark_folds", self.benchmark_folds, 2)
         if not 0.0 < self.synthesis_split_ratio < 1.0:
             raise ValueError("synthesis_split_ratio must be in (0, 1), "
                              f"got {self.synthesis_split_ratio}")

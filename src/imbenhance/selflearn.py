@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
-from .data import Dataset, concat_datasets
+from .data import Dataset, check_count, concat_datasets
 from .metrics import decision_f1, first_best
 
 # Abstention label KFULF gives out-of-fold pool rows; never in the output.
@@ -33,12 +33,10 @@ class PseudoLabelConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise ValueError("k_folds must be at least 2")
+        check_count("k_folds", self.k_folds, 2)
         if not 0.0 < self.target_percentage < 1.0:
             raise ValueError("target_percentage must be in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        check_count("max_iterations", self.max_iterations, 1)
 
 
 @dataclass
@@ -145,7 +143,7 @@ def dds(train: Dataset, unlabeled: Dataset | None, classifier_spec: ClassifierSp
         order = np.argsort(-confidence, kind="stable")
         top = order[:_selection_size(cfg.target_percentage, len(pool_ids))]
         selected = unlabeled.take(pool_ids[top])
-        y_sel = predict(model, selected, threshold=0.5)
+        y_sel = predict(model, selected)
 
         tmp = concat_datasets([kept, _pseudo_dataset(unlabeled, pool_ids[top], y_sel)])
         model = fit(classifier_spec, tmp)

@@ -15,6 +15,7 @@ from .classifiers import ClassifierSpec, TrainedModel, fit, predict
 from .data import (
     Dataset,
     SplitSpec,
+    check_count,
     class_stats,
     concat_datasets,
     read_numbers,
@@ -79,8 +80,7 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
     minority_count - 1. The neighbor search is exact, distance ties go to the
     lower row index, and its memory is linear in the minority count.
     """
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be at least 1")
+    check_count("k_neighbors", k_neighbors, 1)
     minority, idx, majority_count = _minority_info(train)
     if len(idx) < 2:
         raise ValueError("SMOTE needs at least 2 minority rows")
@@ -143,8 +143,7 @@ def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -
     or parameter, or two entries of one name, is refused before anything is
     generated, so every report names each entry once."""
     _check_target_ratio(target_ratio)
-    if smote_k_neighbors < 1:
-        raise ValueError(f"smote_k_neighbors must be at least 1, got {smote_k_neighbors}")
+    check_count("smote_k_neighbors", smote_k_neighbors, 1)
     if not names:
         raise ValueError("techniques must be a nonempty list")
     built = []
@@ -175,8 +174,8 @@ def _refuse_repeated_names(techniques: list):
 
 
 def split_by_error(m: TrainedModel, val: Dataset) -> tuple[Dataset, Dataset]:
-    """The rows of ``val`` that ``m`` predicts right at 0.5, as validation-merged, and the rest."""
-    right = predict(m, val, threshold=0.5) == val.labels
+    """The rows of ``val`` that ``m`` predicts right, as validation-merged, and the rest."""
+    right = predict(m, val) == val.labels
     return (val.take(np.flatnonzero(right)).with_provenance("validation-merged"),
             val.take(np.flatnonzero(~right)))
 

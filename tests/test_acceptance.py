@@ -82,7 +82,7 @@ class HalfModel(TrainedModel):
 
 
 def test_c02_threshold_inclusive_at_exactly_half():
-    pred = predict(HalfModel(), np.zeros((3, 1)), threshold=0.5)
+    pred = predict(HalfModel(), np.zeros((3, 1)))
     assert list(pred) == [1, 1, 1]
     ok(2, "p(y=1|x) = 0.5 predicts class 1 (inclusive >=)")
 

@@ -126,19 +126,19 @@ def test_no_model_constructor_restates_a_spec_field():
 
 @pytest.mark.parametrize("model, kind, bad, message", [
     (RandomForestModel, "random-forest", {"n_estimators": 0},
-     "max_depth, n_estimators and n_iterations must be positive"),
+     "n_estimators must be an integer >= 1, got 0"),
     (DecisionTreeModel, "decision-tree", {"max_depth": 0},
-     "max_depth, n_estimators and n_iterations must be positive"),
+     "max_depth must be an integer >= 1, got 0"),
     (DecisionTreeModel, "decision-tree", {"max_depth": -3},
-     "max_depth, n_estimators and n_iterations must be positive"),
+     "max_depth must be an integer >= 1, got -3"),
     (LogisticRegressionModel, "logistic-regression", {"learning_rate": math.nan},
      "learning_rate must be finite and > 0, got nan"),
     (LogisticRegressionModel, "logistic-regression", {"learning_rate": -1.0},
      "learning_rate must be finite and > 0, got -1.0"),
     (RandomForestModel, "random-forest", {"seed": 1.5},
-     "seed must be a non-negative integer, got 1.5"),
+     "seed must be an integer >= 0, got 1.5"),
     (RandomForestModel, "random-forest", {"seed": -1},
-     "seed must be a non-negative integer, got -1"),
+     "seed must be an integer >= 0, got -1"),
 ])
 def test_a_model_is_built_only_from_a_checked_spec(model, kind, bad, message):
     d = two_cluster_dataset()
@@ -231,12 +231,12 @@ def test_predict_proba_refuses_non_finite_features(model, bad):
 
 def test_threshold_is_inclusive_at_half():
     m = StubModel([0, 1], [[0.5, 0.5]])
-    assert predict(m, np.zeros((1, 1)), threshold=0.5)[0] == 1
+    assert predict(m, np.zeros((1, 1)))[0] == 1
 
 
 def test_threshold_below_half_is_zero():
     m = StubModel([0, 1], [[0.51, 0.49]])
-    assert predict(m, np.zeros((1, 1)), threshold=0.5)[0] == 0
+    assert predict(m, np.zeros((1, 1)))[0] == 0
 
 
 def test_three_class_argmax():
@@ -247,12 +247,6 @@ def test_three_class_argmax():
 def test_argmax_tie_goes_to_smaller_label():
     m = StubModel([-1, 0, 1], [[0.4, 0.4, 0.2]])
     assert predict(m, np.zeros((1, 1)))[0] == -1
-
-
-def test_threshold_out_of_range():
-    m = StubModel([0, 1], [[0.5, 0.5]])
-    with pytest.raises(ValueError, match="threshold"):
-        predict(m, np.zeros((1, 1)), threshold=1.5)
 
 
 def test_predict_agrees_with_argmax_off_boundary():

@@ -49,7 +49,7 @@ def test_generate_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("--seed", "-1", "seed must be an integer >= 0, got -1"),
     ("--separation", "nan", "separation must be finite, got nan"),
     ("--separation", "inf", "separation must be finite, got inf"),
     ("--imbalance-ratio", "nan", "imbalance_ratio must be finite and >= 1, got nan"),

@@ -223,10 +223,10 @@ def test_missing_string_label_is_reported_with_its_row():
         preprocess(Dataset(features=X, labels=labels))
 
 
-def test_all_missing_categorical_column_is_dropped_at_threshold_one():
+def test_all_missing_categorical_column_is_dropped():
     X = np.array([[None, "1"], [None, "2"]], dtype=object)
     d = Dataset(features=X, feature_names=["c", "v"], column_kinds=["categorical", "unknown"])
-    out = Preprocessor(missing_drop_threshold=1.0).fit_transform(d)
+    out = Preprocessor().fit_transform(d)
     assert out.feature_names == ["v"]
 
 
@@ -282,12 +282,12 @@ def raw_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(raw_tables(), st.sampled_from([0.0, 0.5, 1.0]))
-def test_transform_of_the_fitted_table_equals_fit_transform(raw, threshold):
-    pre = Preprocessor(threshold)
+@given(raw_tables())
+def test_transform_of_the_fitted_table_equals_fit_transform(raw):
+    pre = Preprocessor()
     try:
         fitted = pre.fit_transform(raw)
-    except ValueError:  # every column dropped, or an all-missing categorical column kept
+    except ValueError:  # every column dropped, or a declared-numeric column holds text
         assume(False)
     replayed = pre.transform(raw)
     assert replayed.equals(fitted)
@@ -370,7 +370,7 @@ def test_kfold_split_exact_divisibility():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
 def test_split_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
         SplitSpec(seed=seed)
 
 
@@ -490,8 +490,8 @@ def test_generate_benchmark_noise_flips_labels():
     ({"separation": float("-inf")}, "separation must be finite, got -inf"),
     ({"imbalance_ratio": float("nan")}, "imbalance_ratio must be finite and >= 1, got nan"),
     ({"imbalance_ratio": float("inf")}, "imbalance_ratio must be finite and >= 1, got inf"),
-    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
 ])
 def test_generate_benchmark_refuses_a_bad_argument(kw, message):
     args = {"n": 50, "d": 2, "imbalance_ratio": 5.0, **kw}

@@ -1,9 +1,9 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, CSV text is handled in one module, F1 is scored in one module, only
-the stages pick a winner, the technique classes and the model classes are
-each named in one module, each module imports only lower layers, no module
-reaches into another's private names, and bad input raises nothing but
-ValueError."""
+list, CSV text is handled in one module, integer types are checked in one
+module, F1 is scored in one module, only the stages pick a winner, the
+technique classes and the model classes are each named in one module, each
+module imports only lower layers, no module reaches into another's private
+names, and bad input raises nothing but ValueError."""
 
 import ast
 import re
@@ -48,6 +48,12 @@ def test_package_imports_are_the_declared_dependencies():
 
 def test_only_data_imports_csv():
     assert {path.name for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)} \
+        == {"data.py"}
+
+
+def test_only_data_checks_integer_types():
+    """``data.check_count`` is the one check of a count or a seed."""
+    assert {path.name for path in PACKAGE.glob("*.py") if "numbers" in absolute_imports(path)} \
         == {"data.py"}
 
 

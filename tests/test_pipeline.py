@@ -3,6 +3,8 @@ import copy
 import io
 import re
 from collections import Counter
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -398,9 +400,9 @@ def test_config_bad_value_names_file_line_and_key(tmp_path):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("max_depth = 0", "max_depth, n_estimators and n_iterations must be positive"),
+    ("max_depth = 0", "max_depth must be an integer >= 1, got 0"),
     ("classifier = svm", "unknown classifier kind 'svm'"),
-    ("k_folds = 1", "k_folds must be at least 2"),
+    ("k_folds = 1", "k_folds must be an integer >= 2, got 1"),
     ("strategy = both", "strategy must be auto, kfulf, or dds"),
 ])
 def test_config_refused_value_names_file_and_line(tmp_path, line, message):
@@ -504,12 +506,62 @@ def test_readme_library_block_runs():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
 def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
         PipelineConfig(seed=seed)
 
 
 def test_config_takes_a_numpy_integer_seed():
     assert PipelineConfig(seed=np.int64(3)).classifier.seed == 3
+
+
+_COUNT_DATA = generate_synthetic_benchmark(200, 2, 4.0, seed=1)
+
+# (boundary, build it with the count set to v, count name, minimum): every count
+# and seed is checked by data.check_count
+COUNT_BOUNDARIES = [
+    ("SplitSpec", lambda v: SplitSpec(mode="k-fold", k=v), "k", 2),
+    ("SplitSpec", lambda v: SplitSpec(seed=v), "seed", 0),
+    ("ClassifierSpec", lambda v: ClassifierSpec(max_depth=v), "max_depth", 1),
+    ("ClassifierSpec", lambda v: ClassifierSpec(n_estimators=v), "n_estimators", 1),
+    ("ClassifierSpec", lambda v: ClassifierSpec(n_iterations=v), "n_iterations", 1),
+    ("ClassifierSpec", lambda v: ClassifierSpec(seed=v), "seed", 0),
+    ("PseudoLabelConfig", lambda v: PseudoLabelConfig(k_folds=v), "k_folds", 2),
+    ("PseudoLabelConfig", lambda v: PseudoLabelConfig(max_iterations=v), "max_iterations", 1),
+    ("PipelineConfig", lambda v: PipelineConfig(benchmark_folds=v), "benchmark_folds", 2),
+    ("PipelineConfig", lambda v: PipelineConfig(seed=v), "seed", 0),
+    ("build_techniques", lambda v: synthesis.build_techniques(["smote"], v, 1.0),
+     "smote_k_neighbors", 1),
+    ("smote", lambda v: synthesis.smote(_COUNT_DATA, k_neighbors=v), "k_neighbors", 1),
+    ("generate", lambda v: generate_synthetic_benchmark(v, 2, 4.0, seed=1), "n", 2),
+    ("generate", lambda v: generate_synthetic_benchmark(200, v, 4.0, seed=1), "d", 1),
+    ("generate", lambda v: generate_synthetic_benchmark(200, 2, 4.0, seed=v), "seed", 0),
+]
+
+
+@pytest.mark.parametrize("build, name, minimum", [case[1:] for case in COUNT_BOUNDARIES],
+                         ids=[f"{case[0]}-{case[2]}" for case in COUNT_BOUNDARIES])
+def test_every_count_is_an_integer_of_at_least_its_minimum(build, name, minimum):
+    build(np.int64(minimum))
+    for bad in (minimum - 1, minimum + 0.5):
+        message = f"{name} must be an integer >= {minimum}, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(bad)
+
+
+@pytest.mark.parametrize("path", [path for _, path, parser, _ in CONFIG_KEYS if parser is int])
+def test_every_integer_config_key_refuses_a_fraction(path):
+    owner, _, name = path.rpartition(".")
+    cfg = PipelineConfig()
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got 2\.5$"):
+        replace(attrgetter(owner)(cfg) if owner else cfg, **{name: 2.5})
+
+
+def test_sequence_settings_survive_serialization(tmp_path):
+    cfg = PipelineConfig(techniques=("smote",), threshold_grid=[0.1, 0.5])
+    assert cfg.techniques == ["smote"] and cfg.threshold_grid == (0.1, 0.5)
+    p = tmp_path / "cfg.txt"
+    p.write_text(serialize_config(cfg))
+    assert config_from_mapping(parse_config_file(p)) == cfg
 
 
 @pytest.mark.parametrize("techniques", [[], ["foo"], ["smote", "smoth"]])

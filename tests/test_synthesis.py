@@ -88,7 +88,7 @@ def test_smote_requires_two_minority_rows():
 def test_smote_rejects_fewer_than_one_neighbor(k):
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]] + [[10.0, 10.0]] * 8)
     y = np.array([1, 1, 1] + [0] * 8)
-    with pytest.raises(ValueError, match="^k_neighbors must be at least 1$"):
+    with pytest.raises(ValueError, match=f"^k_neighbors must be an integer >= 1, got {k}$"):
         smote(Dataset(features=X, labels=y), k_neighbors=k)
 
 
@@ -416,7 +416,7 @@ def test_build_techniques_maps_each_token_in_order(tmp_path):
 @pytest.mark.parametrize("names, k, ratio, message", [
     (["smote"], 5, float("nan"), "target_ratio must be finite and > 0, got nan"),
     (["smote"], 5, 0.0, "target_ratio must be finite and > 0, got 0.0"),
-    (["smote"], 0, 1.0, "smote_k_neighbors must be at least 1, got 0"),
+    (["smote"], 0, 1.0, "smote_k_neighbors must be an integer >= 1, got 0"),
     ([], 5, 1.0, "techniques must be a nonempty list"),
     (["smote", "gan"], 5, 1.0, "techniques must be random-oversample, smote or replay:PATH, "
                                "got 'gan'"),
