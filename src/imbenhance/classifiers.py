@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_count
+from .data import Dataset, check_count, check_number
 
 # A {0, 1} model predicts class 1 iff p(y=1|x) is at least this.
 DECISION_THRESHOLD = 0.5
@@ -37,8 +37,7 @@ class ClassifierSpec:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         for name in ("max_depth", "n_estimators", "n_iterations"):
             check_count(name, getattr(self, name), 1)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        check_number("learning_rate", self.learning_rate, "(0, inf)")
         check_count("seed", self.seed, 0)  # forest members seed from it
 
 

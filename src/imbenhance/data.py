@@ -487,8 +487,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("holdout", "k-fold"):
             raise ValueError("mode must be 'holdout' or 'k-fold'")
-        if self.mode == "holdout" and not 0 < self.ratio < 1:
-            raise ValueError("holdout ratio must be in (0, 1)")
+        if self.mode == "holdout":
+            check_number("ratio", self.ratio, "(0, 1)")
         if self.mode == "k-fold":
             check_count("k", self.k, 2)
         check_count("seed", self.seed, 0)
@@ -496,9 +496,20 @@ class SplitSpec:
 
 def check_count(name: str, value, minimum: int):
     """The one rule for every count and seed: ``value`` must be an integer,
-    a numpy integer included, of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    a numpy integer included but not a bool, of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def check_number(name: str, value, interval: str):
+    """The one rule for every real-valued setting: ``value`` must be a real
+    number, a numpy float included but not a bool, inside ``interval``, which
+    is written as it reads, such as ``"[0, 1)"`` or ``"(0, inf)"``."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must be a number in {interval}, got {value}")
 
 
 def largest_remainder(fractions, total: int) -> np.ndarray:
@@ -556,12 +567,9 @@ def generate_synthetic_benchmark(n: int, d: int, imbalance_ratio: float,
     Euclidean distance; ``noise_rate`` of all labels are flipped. Deterministic
     per seed.
     """
-    if not (math.isfinite(imbalance_ratio) and imbalance_ratio >= 1):
-        raise ValueError(f"imbalance_ratio must be finite and >= 1, got {imbalance_ratio}")
-    if not math.isfinite(separation):
-        raise ValueError(f"separation must be finite, got {separation}")
-    if not 0 <= noise_rate < 0.5:
-        raise ValueError("noise_rate must be in [0, 0.5)")
+    check_number("imbalance_ratio", imbalance_ratio, "[1, inf)")
+    check_number("separation", separation, "(-inf, inf)")
+    check_number("noise_rate", noise_rate, "[0, 0.5)")
     check_count("n", n, 2)
     check_count("d", d, 1)
     check_count("seed", seed, 0)

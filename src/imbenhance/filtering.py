@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict_proba
-from .data import ClassStats, Dataset, concat_datasets, largest_remainder
+from .data import ClassStats, Dataset, check_number, concat_datasets, largest_remainder
 from .metrics import decision_f1, first_best
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(10))  # 0.0 .. 0.9
@@ -42,6 +42,16 @@ def margins(m: TrainedModel, d: Dataset) -> np.ndarray:
     return part[:, -1] - part[:, -2]
 
 
+def check_grid(name: str, thresholds) -> list:
+    """The distinct ``thresholds`` as ascending floats; one at least, each in [0, 1]."""
+    grid = list(thresholds)
+    if not grid:
+        raise ValueError(f"{name} must be a nonempty list of numbers in [0, 1]")
+    for t in grid:
+        check_number(name, t, "[0, 1]")
+    return sorted(set(map(float, grid)))
+
+
 def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
                     out_margins: np.ndarray) -> Dataset:
     """Pick the per-class quota of filtered-out rows, highest margin first.
@@ -50,8 +60,6 @@ def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
     rows than its quota contributes everything it has; the shortfall is not
     reassigned. Returned rows are tagged "retained".
     """
-    if filtered_out.n_rows == 0:
-        return filtered_out.with_provenance("retained")
     if len(out_margins) != filtered_out.n_rows:
         raise ValueError("margins do not match the filtered-out pool")
     # largest-remainder rounding of prior * total, remainder ties to the smaller class id
@@ -59,8 +67,6 @@ def retain_by_class(filtered_out: Dataset, original_stats: ClassStats,
     picked: list[int] = []
     for quota, cls in zip(quotas, original_stats.labels):
         cls_idx = np.flatnonzero(filtered_out.labels == cls)
-        if len(cls_idx) == 0 or quota == 0:
-            continue
         # descending margin, ties to the earlier row
         order = cls_idx[np.lexsort((cls_idx, -out_margins[cls_idx]))]
         picked.extend(order[:quota].tolist())
@@ -88,9 +94,7 @@ def filter_sweep(aug: Dataset, mis: Dataset, m: TrainedModel,
         raise ValueError("misclassified set is empty; nothing to score against")
     if retention and original_stats is None:
         raise ValueError("retention requires the original dataset's class stats")
-    grid = sorted(set(float(t) for t in thresholds))
-    if not grid or any(not 0.0 <= t <= 1.0 for t in grid):
-        raise ValueError("thresholds must be a nonempty grid within [0, 1]")
+    grid = check_grid("thresholds", thresholds)
 
     deltas = margins(m, aug)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import DECISION_THRESHOLD, TrainedModel, predict, predict_proba
-from .data import Dataset
+from .data import Dataset, check_number
 
 EVAL_CSV_COLUMNS = ["precision", "recall", "f1", "accuracy", "auc", "ks",
                     "tp", "tn", "fp", "fn"]
@@ -151,8 +151,7 @@ def score_report(labels, scores, threshold: float = DECISION_THRESHOLD,
                  predictions=None) -> EvalReport:
     """Confusion metrics of the predictions, by default ``scores >= threshold``
     (the rule ``predict`` applies to a {0, 1} model); AUC and KS of the scores."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
+    check_number("threshold", threshold, "[0, 1]")
     if predictions is None:
         predictions = np.asarray(scores) >= threshold
     counts = confusion(labels, predictions)

@@ -17,6 +17,7 @@ from .data import (
     Dataset,
     SplitSpec,
     check_count,
+    check_number,
     class_stats,
     concat_datasets,
     prefix_errors,
@@ -24,7 +25,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, filter_sweep
+from .filtering import DEFAULT_THRESHOLD_GRID, FilterOutcome, check_grid, filter_sweep
 from .metrics import EVAL_CSV_COLUMNS, EvalReport, evaluate
 from .selflearn import (
     LOG_COLUMNS,
@@ -70,15 +71,10 @@ class PipelineConfig:
         self.techniques, self.threshold_grid = list(self.techniques), tuple(self.threshold_grid)
         if self.strategy not in ("auto", "kfulf", "dds"):
             raise ValueError("strategy must be auto, kfulf, or dds")
-        if not 0.0 <= self.hide_labels < 1.0:
-            raise ValueError("hide_labels must be in [0, 1)")
+        check_number("hide_labels", self.hide_labels, "[0, 1)")
         check_count("benchmark_folds", self.benchmark_folds, 2)
-        if not 0.0 < self.synthesis_split_ratio < 1.0:
-            raise ValueError("synthesis_split_ratio must be in (0, 1), "
-                             f"got {self.synthesis_split_ratio}")
-        if not self.threshold_grid or any(not 0.0 <= t <= 1.0 for t in self.threshold_grid):
-            raise ValueError("threshold_grid must be a nonempty list of values in [0, 1], "
-                             f"got {self.threshold_grid}")
+        check_number("synthesis_split_ratio", self.synthesis_split_ratio, "(0, 1)")
+        check_grid("threshold_grid", self.threshold_grid)
         self.build_techniques()  # refuses a bad entry before any stage runs
 
     def build_techniques(self):

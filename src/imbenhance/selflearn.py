@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict, predict_proba
-from .data import Dataset, check_count, concat_datasets
+from .data import Dataset, check_count, check_number, concat_datasets
 from .metrics import decision_f1, first_best
 
 # Abstention label KFULF gives out-of-fold pool rows; never in the output.
@@ -34,8 +34,7 @@ class PseudoLabelConfig:
 
     def __post_init__(self):
         check_count("k_folds", self.k_folds, 2)
-        if not 0.0 < self.target_percentage < 1.0:
-            raise ValueError("target_percentage must be in (0, 1)")
+        check_number("target_percentage", self.target_percentage, "(0, 1)")
         check_count("max_iterations", self.max_iterations, 1)
 
 

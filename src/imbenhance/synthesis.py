@@ -16,6 +16,7 @@ from .data import (
     Dataset,
     SplitSpec,
     check_count,
+    check_number,
     class_stats,
     concat_datasets,
     read_numbers,
@@ -40,13 +41,8 @@ def _minority_info(train: Dataset):
     return minority, idx, majority_count
 
 
-def _check_target_ratio(target_ratio: float):
-    if not (math.isfinite(target_ratio) and target_ratio > 0.0):
-        raise ValueError(f"target_ratio must be finite and > 0, got {target_ratio}")
-
-
 def _rows_needed(minority_count: int, majority_count: int, target_ratio: float) -> int:
-    _check_target_ratio(target_ratio)
+    check_number("target_ratio", target_ratio, "(0, inf)")
     target = target_ratio * majority_count
     if not math.isfinite(target):
         raise ValueError(f"target_ratio {target_ratio} of {majority_count} majority rows "
@@ -61,14 +57,11 @@ def _as_synthetic(train: Dataset, rows: np.ndarray, minority_label: int) -> Data
 
 def random_oversample(train: Dataset, target_ratio: float = 1.0, seed: int = 42) -> Dataset:
     """Duplicate uniformly-sampled minority rows until minority/majority = target_ratio."""
+    check_count("seed", seed, 0)
     minority, idx, majority_count = _minority_info(train)
-    if len(idx) == 0:
-        raise ValueError("empty minority class")
     needed = _rows_needed(len(idx), majority_count, target_ratio)
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(idx), size=needed)
-    rows = np.asarray(train.features, dtype=float)[idx[picks]]
-    return _as_synthetic(train, rows.reshape(needed, train.n_features), minority)
+    picks = np.random.default_rng(seed).integers(0, len(idx), size=needed)
+    return _as_synthetic(train, np.asarray(train.features, dtype=float)[idx[picks]], minority)
 
 
 def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
@@ -81,6 +74,7 @@ def smote(train: Dataset, k_neighbors: int = 5, target_ratio: float = 1.0,
     lower row index, and its memory is linear in the minority count.
     """
     check_count("k_neighbors", k_neighbors, 1)
+    check_count("seed", seed, 0)
     minority, idx, majority_count = _minority_info(train)
     if len(idx) < 2:
         raise ValueError("SMOTE needs at least 2 minority rows")
@@ -142,7 +136,7 @@ def build_techniques(names: list, smote_k_neighbors: int, target_ratio: float) -
     """The race entries for the config tokens ``names``, in order; a bad token
     or parameter, or two entries of one name, is refused before anything is
     generated, so every report names each entry once."""
-    _check_target_ratio(target_ratio)
+    check_number("target_ratio", target_ratio, "(0, inf)")
     check_count("smote_k_neighbors", smote_k_neighbors, 1)
     if not names:
         raise ValueError("techniques must be a nonempty list")

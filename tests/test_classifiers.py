@@ -114,7 +114,8 @@ def test_fit_single_class():
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.5])
 def test_spec_refuses_a_learning_rate_not_finite_and_positive(rate):
-    with pytest.raises(ValueError, match=f"^learning_rate must be finite and > 0, got {rate}$"):
+    message = f"learning_rate must be a number in (0, inf), got {rate}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ClassifierSpec(learning_rate=rate)
 
 
@@ -132,9 +133,9 @@ def test_no_model_constructor_restates_a_spec_field():
     (DecisionTreeModel, "decision-tree", {"max_depth": -3},
      "max_depth must be an integer >= 1, got -3"),
     (LogisticRegressionModel, "logistic-regression", {"learning_rate": math.nan},
-     "learning_rate must be finite and > 0, got nan"),
+     "learning_rate must be a number in (0, inf), got nan"),
     (LogisticRegressionModel, "logistic-regression", {"learning_rate": -1.0},
-     "learning_rate must be finite and > 0, got -1.0"),
+     "learning_rate must be a number in (0, inf), got -1.0"),
     (RandomForestModel, "random-forest", {"seed": 1.5},
      "seed must be an integer >= 0, got 1.5"),
     (RandomForestModel, "random-forest", {"seed": -1},

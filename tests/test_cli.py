@@ -50,9 +50,9 @@ def test_generate_deterministic(tmp_path):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "seed must be an integer >= 0, got -1"),
-    ("--separation", "nan", "separation must be finite, got nan"),
-    ("--separation", "inf", "separation must be finite, got inf"),
-    ("--imbalance-ratio", "nan", "imbalance_ratio must be finite and >= 1, got nan"),
+    ("--separation", "nan", "separation must be a number in (-inf, inf), got nan"),
+    ("--separation", "inf", "separation must be a number in (-inf, inf), got inf"),
+    ("--imbalance-ratio", "nan", "imbalance_ratio must be a number in [1, inf), got nan"),
 ])
 def test_generate_refuses_a_bad_argument(tmp_path, capsys, flag, value, message):
     out = tmp_path / "g.csv"
@@ -630,7 +630,8 @@ def test_metrics_refuses_a_threshold_outside_0_1(tmp_path, capsys, threshold):
     p = tmp_path / "preds.csv"
     p.write_text("label,score\n1,0.9\n0,0.2\n")
     assert run_cli("metrics", str(p), f"--threshold={threshold}") == 1
-    assert capsys.readouterr().err == "error: threshold must be in [0, 1]\n"
+    assert capsys.readouterr().err == \
+        f"error: threshold must be a number in [0, 1], got {threshold}\n"
 
 
 def test_metrics_thresholds_the_score_when_every_prediction_cell_is_blank(tmp_path, capsys):

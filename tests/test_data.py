@@ -486,10 +486,10 @@ def test_generate_benchmark_noise_flips_labels():
 
 
 @pytest.mark.parametrize("kw, message", [
-    ({"separation": float("nan")}, "separation must be finite, got nan"),
-    ({"separation": float("-inf")}, "separation must be finite, got -inf"),
-    ({"imbalance_ratio": float("nan")}, "imbalance_ratio must be finite and >= 1, got nan"),
-    ({"imbalance_ratio": float("inf")}, "imbalance_ratio must be finite and >= 1, got inf"),
+    ({"separation": float("nan")}, "separation must be a number in (-inf, inf), got nan"),
+    ({"separation": float("-inf")}, "separation must be a number in (-inf, inf), got -inf"),
+    ({"imbalance_ratio": float("nan")}, "imbalance_ratio must be a number in [1, inf), got nan"),
+    ({"imbalance_ratio": float("inf")}, "imbalance_ratio must be a number in [1, inf), got inf"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
 ])

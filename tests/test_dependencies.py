@@ -1,9 +1,10 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
-list, CSV text is handled in one module, integer types are checked in one
-module, F1 is scored in one module, only the stages pick a winner, the
-technique classes and the model classes are each named in one module, each
-module imports only lower layers, no module reaches into another's private
-names, and bad input raises nothing but ValueError."""
+list, CSV text is handled in one module, integer and real types are checked
+in one module and no interval check is written by hand, F1 is scored in one
+module, only the stages pick a winner, the technique classes and the model
+classes are each named in one module, each module imports only lower layers,
+no module reaches into another's private names, and bad input raises nothing
+but ValueError."""
 
 import ast
 import re
@@ -52,9 +53,27 @@ def test_only_data_imports_csv():
 
 
 def test_only_data_checks_integer_types():
-    """``data.check_count`` is the one check of a count or a seed."""
+    """``data.check_count`` is the one check of a count or a seed, and
+    ``data.check_number`` the one check of a real-valued setting."""
     assert {path.name for path in PACKAGE.glob("*.py") if "numbers" in absolute_imports(path)} \
         == {"data.py"}
+
+
+def is_number_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_no_module_writes_an_interval_check_by_hand():
+    """A bound such as ``0.0 <= x < 1.0`` is checked by ``data.check_number``,
+    which names the setting, its interval and the value in one message."""
+    found = {f"{path.name}: line {node.lineno}"
+             for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Compare) and len(node.ops) > 1
+             and (is_number_literal(node.left) or is_number_literal(node.comparators[-1]))}
+    assert found == set()
 
 
 def referenced_names(path: Path) -> set[str]:

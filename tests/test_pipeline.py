@@ -16,9 +16,11 @@ from imbenhance import synthesis
 from imbenhance.classifiers import ClassifierSpec, fit, predict
 from imbenhance.data import SplitSpec, class_stats, generate_synthetic_benchmark, stratified_split
 from imbenhance.filtering import filter_sweep
+from imbenhance.metrics import score_report
 from imbenhance.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
+    _float_tuple,
     benchmark,
     config_from_mapping,
     emit_report,
@@ -535,6 +537,8 @@ COUNT_BOUNDARIES = [
     ("generate", lambda v: generate_synthetic_benchmark(v, 2, 4.0, seed=1), "n", 2),
     ("generate", lambda v: generate_synthetic_benchmark(200, v, 4.0, seed=1), "d", 1),
     ("generate", lambda v: generate_synthetic_benchmark(200, 2, 4.0, seed=v), "seed", 0),
+    ("smote", lambda v: synthesis.smote(_COUNT_DATA, seed=v), "seed", 0),
+    ("random_oversample", lambda v: synthesis.random_oversample(_COUNT_DATA, seed=v), "seed", 0),
 ]
 
 
@@ -542,7 +546,7 @@ COUNT_BOUNDARIES = [
                          ids=[f"{case[0]}-{case[2]}" for case in COUNT_BOUNDARIES])
 def test_every_count_is_an_integer_of_at_least_its_minimum(build, name, minimum):
     build(np.int64(minimum))
-    for bad in (minimum - 1, minimum + 0.5):
+    for bad in (minimum - 1, minimum + 0.5, True):
         message = f"{name} must be an integer >= {minimum}, got {bad}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(bad)
@@ -554,6 +558,67 @@ def test_every_integer_config_key_refuses_a_fraction(path):
     cfg = PipelineConfig()
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got 2\.5$"):
         replace(attrgetter(owner)(cfg) if owner else cfg, **{name: 2.5})
+
+
+_SWEEP_MODEL = fit(ClassifierSpec(kind="decision-tree", max_depth=2), _COUNT_DATA)
+
+# (boundary, build it with the setting set to v, setting name, interval): every
+# real-valued setting is checked by data.check_number
+NUMBER_BOUNDARIES = [
+    ("PipelineConfig", lambda v: PipelineConfig(hide_labels=v), "hide_labels", "[0, 1)"),
+    ("PipelineConfig", lambda v: PipelineConfig(synthesis_split_ratio=v),
+     "synthesis_split_ratio", "(0, 1)"),
+    ("PipelineConfig", lambda v: PipelineConfig(threshold_grid=(0.5, v)),
+     "threshold_grid", "[0, 1]"),
+    ("PipelineConfig", lambda v: PipelineConfig(target_ratio=v), "target_ratio", "(0, inf)"),
+    ("filter_sweep", lambda v: filter_sweep(_COUNT_DATA, _COUNT_DATA, _SWEEP_MODEL,
+                                            ClassifierSpec(), thresholds=[v], retention=False),
+     "thresholds", "[0, 1]"),
+    ("PseudoLabelConfig", lambda v: PseudoLabelConfig(target_percentage=v),
+     "target_percentage", "(0, 1)"),
+    ("ClassifierSpec", lambda v: ClassifierSpec(learning_rate=v), "learning_rate", "(0, inf)"),
+    ("SplitSpec", lambda v: SplitSpec(ratio=v), "ratio", "(0, 1)"),
+    ("build_techniques", lambda v: synthesis.build_techniques(["smote"], 5, v),
+     "target_ratio", "(0, inf)"),
+    ("smote", lambda v: synthesis.smote(_COUNT_DATA, target_ratio=v), "target_ratio", "(0, inf)"),
+    ("random_oversample", lambda v: synthesis.random_oversample(_COUNT_DATA, target_ratio=v),
+     "target_ratio", "(0, inf)"),
+    ("generate", lambda v: generate_synthetic_benchmark(200, 2, v, seed=1),
+     "imbalance_ratio", "[1, inf)"),
+    ("generate", lambda v: generate_synthetic_benchmark(200, 2, 4.0, separation=v, seed=1),
+     "separation", "(-inf, inf)"),
+    ("generate", lambda v: generate_synthetic_benchmark(200, 2, 4.0, noise_rate=v, seed=1),
+     "noise_rate", "[0, 0.5)"),
+    ("score_report", lambda v: score_report([0, 1], [0.2, 0.9], threshold=v),
+     "threshold", "[0, 1]"),
+]
+
+
+@pytest.mark.parametrize("build, name, interval", [case[1:] for case in NUMBER_BOUNDARIES],
+                         ids=[f"{case[0]}-{case[2]}" for case in NUMBER_BOUNDARIES])
+def test_every_real_setting_is_a_number_inside_its_interval(build, name, interval):
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    # an open bound, infinite or not, is itself outside; a closed one has its
+    # outward neighbour outside
+    outside = [lo if interval[0] == "(" else np.nextafter(lo, -np.inf),
+               hi if interval[-1] == ")" else np.nextafter(hi, np.inf)]
+    for bad in outside + [np.nan, "0.5", True]:
+        message = f"{name} must be a number in {interval}, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(bad)
+    inside = (lo + hi) / 2 if np.isfinite(lo + hi) else lo + 1 if np.isfinite(lo) else 0.0
+    build(np.float32(inside))
+
+
+@pytest.mark.parametrize("path", [path for _, path, parser, _ in CONFIG_KEYS
+                                  if parser in (float, _float_tuple)])
+@pytest.mark.parametrize("bad", ["0.5", True])
+def test_every_real_config_key_refuses_a_string_and_a_bool(path, bad):
+    owner, _, name = path.rpartition(".")
+    cfg = PipelineConfig()
+    value = (bad,) if isinstance(attrgetter(path)(cfg), tuple) else bad
+    with pytest.raises(ValueError, match=rf"^{name} must be a number in [\[(].*, got {bad}$"):
+        replace(attrgetter(owner)(cfg) if owner else cfg, **{name: value})
 
 
 def test_sequence_settings_survive_serialization(tmp_path):
