@@ -486,7 +486,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.mode not in ("holdout", "k-fold"):
-            raise ValueError("mode must be 'holdout' or 'k-fold'")
+            raise ValueError(f"mode must be 'holdout' or 'k-fold', got {self.mode!r}")
         if self.mode == "holdout":
             check_number("ratio", self.ratio, "(0, 1)")
         if self.mode == "k-fold":

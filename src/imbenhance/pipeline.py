@@ -68,13 +68,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.classifier = replace(self.classifier, seed=self.seed)
-        self.techniques, self.threshold_grid = list(self.techniques), tuple(self.threshold_grid)
+        self.techniques = list(self.techniques)
         if self.strategy not in ("auto", "kfulf", "dds"):
-            raise ValueError("strategy must be auto, kfulf, or dds")
+            raise ValueError(f"strategy must be auto, kfulf, or dds, got {self.strategy!r}")
         check_number("hide_labels", self.hide_labels, "[0, 1)")
         check_count("benchmark_folds", self.benchmark_folds, 2)
         check_number("synthesis_split_ratio", self.synthesis_split_ratio, "(0, 1)")
-        check_grid("threshold_grid", self.threshold_grid)
+        self.threshold_grid = tuple(check_grid("threshold_grid", self.threshold_grid))
         self.build_techniques()  # refuses a bad entry before any stage runs
 
     def build_techniques(self):
@@ -311,22 +311,11 @@ CONFIG_KEYS = (
     ("hide_labels", "hide_labels", float, "fraction of labels hidden to form the pool"),
 )
 _PARSERS = {key: parser for key, _, parser, _ in CONFIG_KEYS}
-_PATHS = {key: path for key, path, _, _ in CONFIG_KEYS}
 
 
-def _parse_value(key: str, value: str):
-    with prefix_errors(key):
-        return _PARSERS[key](value)
-
-
-def _replace_path(obj, path: str, value):
-    """Copy of ``obj`` with the dotted attribute ``path`` set (and re-validated)."""
-    head, _, rest = path.partition(".")
-    value = _replace_path(getattr(obj, head), rest, value) if rest else value
-    return replace(obj, **{head: value})
-
-
-def _parse_lines(text: str, source) -> dict:
+def _parse_lines(text: str, source) -> tuple[dict, dict]:
+    """Each key's value as written and its line number; bad syntax, an unknown
+    key or a repeated one is an error naming ``source:line``."""
     mapping, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -340,30 +329,35 @@ def _parse_lines(text: str, source) -> dict:
                 raise ValueError(f"unknown config key {key!r}")
             if key in first_line:
                 raise ValueError(f"config key {key!r} already set on line {first_line[key]}")
-            if value:
-                _replace_path(PipelineConfig(), _PATHS[key], _parse_value(key, value))
         mapping[key], first_line[key] = value, lineno
-    return mapping
+    return mapping, first_line
 
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` lines of UTF-8, with or without a byte-order mark;
     '#' starts a comment. Unknown or repeated keys, values their key cannot
     parse and values PipelineConfig refuses are errors naming ``path:line``."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8-sig"), path)
+    mapping, first_line = _parse_lines(Path(path).read_text(encoding="utf-8-sig"), path)
+    for key, value in mapping.items():
+        with prefix_errors(f"{path}:{first_line[key]}"):
+            config_from_mapping({key: value})
+    return mapping
 
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:
-    """Build a PipelineConfig from string key/value pairs (file or CLI). A
-    missing or blank key keeps the default."""
+    """Build a PipelineConfig, once, from string key/value pairs (file or CLI).
+    A missing or blank key keeps the default."""
     unknown = sorted(set(mapping) - set(_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    cfg = PipelineConfig()
+    kwargs = {"": {}, "classifier": {}, "pseudo": {}}
     for key, path, _, _ in CONFIG_KEYS:
         if mapping.get(key, "") != "":
-            cfg = _replace_path(cfg, path, _parse_value(key, mapping[key]))
-    return cfg
+            owner, _, name = path.rpartition(".")
+            with prefix_errors(key):
+                kwargs[owner][name] = _PARSERS[key](mapping[key])
+    return PipelineConfig(**kwargs[""], classifier=ClassifierSpec(**kwargs["classifier"]),
+                          pseudo=PseudoLabelConfig(**kwargs["pseudo"]))
 
 
 def _format_value(value) -> str:
@@ -392,7 +386,9 @@ def serialize_config(cfg: PipelineConfig) -> str:
     replay of it would then not reproduce the run."""
     text = "".join(f"{key} = {_format_value(attrgetter(path)(cfg))}\n"
                    for key, path, _, _ in CONFIG_KEYS)
-    again = dict(_leaves(config_from_mapping(_parse_lines(text, "serialized config"))))
+    mapping, _ = _parse_lines(text, "serialized config")
+    with prefix_errors("serialized config"):
+        again = dict(_leaves(config_from_mapping(mapping)))
     lost = [name for name, value in _leaves(cfg) if again[name] != value]
     if lost:
         raise ValueError(f"config fields {', '.join(lost)} would not survive serialization")

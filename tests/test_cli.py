@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from imbenhance.classifiers import ClassifierSpec
 from imbenhance.cli import _merge_config, _prepare_data, build_parser, main
 from imbenhance.data import load_csv, preprocess
-from imbenhance.pipeline import PipelineConfig
+from imbenhance.pipeline import PipelineConfig, serialize_config
 from imbenhance.selflearn import PseudoLabelConfig
 
 
@@ -483,6 +484,19 @@ def test_every_pipeline_flag_reaches_the_config(tmp_path):
                                                  max_iterations=4),
         disable_synthesis=True, disable_filtering=True, disable_selflearning=True,
         benchmark_folds=4, hide_labels=0.25)
+
+
+def test_a_config_is_built_once_not_once_per_key(small_csv, tmp_path):
+    defaults = PipelineConfig()
+    with mock.patch.object(PipelineConfig, "__post_init__", autospec=True,
+                           side_effect=PipelineConfig.__post_init__) as built:
+        assert run_cli("enhance", str(small_csv), "--hide-labels", "0.3", "--max-depth", "4",
+                       "--out", str(tmp_path / "o")) == 0
+        # build_parser's two defaults, the merged flags, and two serializations
+        assert built.call_count <= 5
+        built.reset_mock()
+        serialize_config(defaults)
+        assert built.call_count == 1
 
 
 def test_ablation_switches_run(small_csv, tmp_path):

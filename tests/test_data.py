@@ -374,6 +374,11 @@ def test_split_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
         SplitSpec(seed=seed)
 
 
+def test_split_spec_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^mode must be 'holdout' or 'k-fold', got 'x'$"):
+        SplitSpec(mode="x")
+
+
 def test_kfold_class_too_small():
     y = [1] * 2 + [0] * 7
     d = make_labeled(np.zeros((9, 1)), y)

@@ -139,7 +139,7 @@ GOLDEN = {
     },
     'no-retention': {
         'stdout': '708256c89c526110',
-        'config_resolved.txt': 'df10e9220f8f28e6',
+        'config_resolved.txt': '40c1e0b73c2e80aa',
         'enhanced.csv': 'a1d6d400eb6ddaf7',
         'filter_sweep.csv': 'c8efdc6b8fe307bd',
         'selflearn_log.csv': '21a0fbe0fc492e51',

@@ -405,7 +405,7 @@ def test_config_bad_value_names_file_line_and_key(tmp_path):
     ("max_depth = 0", "max_depth must be an integer >= 1, got 0"),
     ("classifier = svm", "unknown classifier kind 'svm'"),
     ("k_folds = 1", "k_folds must be an integer >= 2, got 1"),
-    ("strategy = both", "strategy must be auto, kfulf, or dds"),
+    ("strategy = both", "strategy must be auto, kfulf, or dds, got 'both'"),
 ])
 def test_config_refused_value_names_file_and_line(tmp_path, line, message):
     p = tmp_path / "cfg.txt"
