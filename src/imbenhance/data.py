@@ -446,14 +446,13 @@ class BinaryLabels:
 
 @dataclass
 class ClassStats:
-    """Per-class counts and priors plus the minority:majority imbalance ratio."""
+    """Per-class counts and priors, and which label is the minority and the majority."""
 
     labels: tuple
     counts: tuple
     priors: tuple
     minority_label: int
     majority_label: int
-    imbalance_ratio: float  # majority_count / minority_count
 
     def count_of(self, label) -> int:
         return self.counts[self.labels.index(label)]
@@ -471,8 +470,7 @@ def class_stats(d: Dataset) -> ClassStats:
     order = sorted(range(len(labels)), key=lambda i: (counts[i], -labels[i]))
     minority, majority = labels[order[0]], labels[order[-1]]
     return ClassStats(labels=labels, counts=counts, priors=priors,
-                      minority_label=minority, majority_label=majority,
-                      imbalance_ratio=counts[order[-1]] / counts[order[0]])
+                      minority_label=minority, majority_label=majority)
 
 
 @dataclass
@@ -537,18 +535,21 @@ def stratified_split(d: Dataset, spec: SplitSpec) -> list[Dataset]:
     """
     if d.labels is None:
         raise ValueError("stratified_split requires a labeled dataset")
+    classes, counts = np.unique(d.labels, return_counts=True)
     if spec.mode == "holdout":
         fractions = [spec.ratio, 1.0 - spec.ratio]
     else:
+        # checked before the k fractions are built, so a huge k costs nothing
+        for cls, count in zip(classes.tolist(), counts.tolist()):
+            if count < spec.k:
+                raise ValueError(f"class {cls} has {count} rows, fewer than k={spec.k}")
         fractions = [1.0 / spec.k] * spec.k
     n_parts = len(fractions)
 
     rng = np.random.default_rng(spec.seed)
     part_indices: list[list[int]] = [[] for _ in range(n_parts)]
-    for cls in np.unique(d.labels):
+    for cls in classes:
         idx = np.flatnonzero(d.labels == cls)
-        if spec.mode == "k-fold" and len(idx) < spec.k:
-            raise ValueError(f"class {cls} has {len(idx)} rows, fewer than k={spec.k}")
         perm = rng.permutation(idx)
         alloc = largest_remainder(fractions, len(idx))
         start = 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from .classifiers import MODELS, ClassifierSpec, fit, predict
 from .data import (
-    ClassStats,
     Dataset,
     SplitSpec,
     check_count,
@@ -87,7 +86,6 @@ class EnhancementResult:
     aug: Dataset
     filtered: Dataset
     input_data: Dataset          # the labeled data the pipeline actually ran on
-    input_stats: ClassStats
     synthesis: SynthesisOutcome | None = None    # None where the stage did not run
     filtering: FilterOutcome | None = None
     selflearn: SelfLearnOutcome | None = None
@@ -156,14 +154,15 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
     pool = None if pool is None else pool.without_labels()
 
     result = EnhancementResult(enhanced=work, aug=work, filtered=work, input_data=work,
-                               input_stats=class_stats(work),
                                pool_size=0 if pool is None else pool.n_rows)
+    # the race scores on this holdout and, with synthesis off, so does the filter sweep
+    train, val = stratified_split(work, SplitSpec(
+        mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
 
     with _stage("synthesis", result.timings_ms):
         if not cfg.disable_synthesis:
-            result.synthesis = meta_synthesize(
-                work, cfg.build_techniques(), cfg.classifier,
-                SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+            result.synthesis = meta_synthesize(train, cfg.build_techniques(), cfg.classifier,
+                                               val, cfg.seed)
             result.aug = result.synthesis.augmented
     result.filtered = result.aug
 
@@ -172,11 +171,7 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
             if result.synthesis is not None:
                 model, mis = result.synthesis.model, result.synthesis.misclassified
             else:
-                # synthesis was skipped: recreate its partition to get a model and
-                # a misclassified set to score the sweep against
-                tr, val = stratified_split(work, SplitSpec(
-                    mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
-                model = fit(cfg.classifier, tr)
+                model = fit(cfg.classifier, train)
                 _, mis = split_by_error(model, val)
             if mis.n_rows == 0:
                 result.notes.append(
@@ -184,7 +179,7 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
             else:
                 result.filtering = filter_sweep(
                     result.aug, mis, model, cfg.classifier, thresholds=cfg.threshold_grid,
-                    original_stats=result.input_stats, retention=cfg.retention)
+                    original_stats=class_stats(work), retention=cfg.retention)
                 result.filtered = result.filtering.filtered
     result.enhanced = result.filtered
 
@@ -212,11 +207,10 @@ def run_pipeline(input_ds: Dataset, unlabeled: Dataset | None,
 
 @dataclass
 class BenchmarkResult:
-    """Per-fold before/after evaluation reports plus fold details."""
+    """Per-fold before/after evaluation reports plus each fold's pipeline result."""
 
     baseline: list          # EvalReport per fold
     enhanced: list
-    fold_sizes: list
     pipeline_results: list  # EnhancementResult per fold
 
     def summary(self, which: str) -> dict:
@@ -245,7 +239,7 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
     _validate_pipeline_input(input_ds, unlabeled)
     folds = stratified_split(input_ds, SplitSpec(mode="k-fold", k=cfg.benchmark_folds,
                                                  seed=cfg.seed))
-    baseline_reports, enhanced_reports, results, sizes = [], [], [], []
+    baseline_reports, enhanced_reports, results = [], [], []
     for i, test_fold in enumerate(folds):
         train_fold = concat_datasets([f for j, f in enumerate(folds) if j != i])
         fold_cfg = replace(cfg, seed=cfg.seed + i)
@@ -256,9 +250,8 @@ def benchmark(input_ds: Dataset, cfg: PipelineConfig,
         enhanced_model = fit(fold_cfg.classifier, result.enhanced)
         enhanced_reports.append(evaluate(enhanced_model, test_fold))
         results.append(result)
-        sizes.append(test_fold.n_rows)
     return BenchmarkResult(baseline=baseline_reports, enhanced=enhanced_reports,
-                           fold_sizes=sizes, pipeline_results=results)
+                           pipeline_results=results)
 
 
 # ------------------------------------------------------------ configuration

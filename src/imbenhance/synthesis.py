@@ -14,14 +14,12 @@ import numpy as np
 from .classifiers import ClassifierSpec, TrainedModel, fit, predict
 from .data import (
     Dataset,
-    SplitSpec,
     check_count,
     check_number,
     class_stats,
     concat_datasets,
     read_numbers,
     read_table,
-    stratified_split,
 )
 from .metrics import decision_f1, first_best
 
@@ -189,23 +187,21 @@ class SynthesisOutcome:
         return self.f1_scores[self.chosen][0]
 
 
-def meta_synthesize(d: Dataset, techniques: list, classifier_spec: ClassifierSpec,
-                    split: SplitSpec) -> SynthesisOutcome:
-    """Race the synthesis techniques on a stratified holdout and keep the best.
+def meta_synthesize(train: Dataset, techniques: list, classifier_spec: ClassifierSpec,
+                    val: Dataset, seed: int) -> SynthesisOutcome:
+    """Race the synthesis techniques on a holdout and keep the best.
 
-    For each technique: generate minority rows from the training part, train,
-    score F1 on the validation part. The first highest F1 wins; the winner's
-    augmented set is kept and retrained, correctly-classified validation rows
-    are merged into it, and the misclassified ones are returned separately for
-    the filtering stage.
+    For each technique (entry i draws from ``seed + i``): generate minority rows
+    from ``train``, train, score F1 on ``val``. The first highest F1 wins; the
+    winner's augmented set is kept and retrained, correctly-classified ``val``
+    rows are merged into it, and the misclassified ones are returned separately
+    for the filtering stage.
     """
+    check_count("seed", seed, 0)
     if not techniques:
         raise ValueError("technique list is empty")
     _refuse_repeated_names(techniques)
-    if split.mode != "holdout":
-        raise ValueError("meta_synthesize needs a holdout split spec")
-    train, val = stratified_split(d, split)
-    augs = [concat_datasets([train, tech.generate(train, seed=split.seed + i)])
+    augs = [concat_datasets([train, tech.generate(train, seed=seed + i)])
             for i, tech in enumerate(techniques)]
     f1s = [(tech.name, decision_f1(fit(classifier_spec, aug), val))
            for tech, aug in zip(techniques, augs)]

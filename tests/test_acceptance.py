@@ -122,6 +122,7 @@ def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
     d = Dataset(features=np.arange(20, dtype=float).reshape(10, 2),
                 labels=np.array([0, 1] * 5))
     split = SplitSpec(ratio=0.8, seed=1)
+    train, val = stratified_split(d, split)
 
     def fit_for(mapping):
         def marker_fit(spec, aug):
@@ -134,15 +135,15 @@ def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
     # rigged F1: first technique scores 0, second scores 2/3 -> argmax = second
     with monkeypatch.context() as m:
         m.setattr(synthesis, "fit", fit_for({111.0: _AllZeros, 222.0: _AllOnes}))
-        out = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
-                              ClassifierSpec(), split)
+        out = meta_synthesize(train, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
+                              ClassifierSpec(), val, split.seed)
     assert out.chosen_technique == "t2"
 
     # tie -> list order
     with monkeypatch.context() as m:
         m.setattr(synthesis, "fit", fit_for({111.0: _AllOnes, 222.0: _AllOnes}))
-        tied = meta_synthesize(d, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
-                               ClassifierSpec(), split)
+        tied = meta_synthesize(train, [_Marker("t1", 111.0), _Marker("t2", 222.0)],
+                               ClassifierSpec(), val, split.seed)
     assert tied.chosen_technique == "t1"
 
     # D_mis ∪ Correct(D^val) = D^val as multisets, on the stub run and a real run
@@ -161,8 +162,10 @@ def test_c03_meta_synthesis_argmax_tie_and_bookkeeping(monkeypatch):
                                           noise_rate=0.1, seed=2)
     real_split = SplitSpec(ratio=0.8, seed=2)
     from imbenhance.synthesis import build_techniques
-    real_out = meta_synthesize(real_d, build_techniques(["random-oversample", "smote"], 5, 1.0),
-                               ClassifierSpec(kind="decision-tree"), real_split)
+    real_train, real_val = stratified_split(real_d, real_split)
+    real_out = meta_synthesize(real_train,
+                               build_techniques(["random-oversample", "smote"], 5, 1.0),
+                               ClassifierSpec(kind="decision-tree"), real_val, real_split.seed)
     check_partition(real_out, real_d, real_split)
     ok(3, "argmax winner selected, ties to list order, validation rows fully "
           "accounted for as D_mis ∪ Correct(D^val)")
@@ -175,7 +178,7 @@ def test_c04_filtering_invariants_and_blsd_retention():
     assert list(largest_remainder((0.7748, 0.2252), 1000)) == [775, 225]
     blsd_stats = ClassStats(labels=(0, 1), counts=(7748, 2252),
                             priors=(0.7748, 0.2252), minority_label=1,
-                            majority_label=0, imbalance_ratio=7748 / 2252)
+                            majority_label=0)
     pool = Dataset(features=np.arange(1000, dtype=float).reshape(1000, 1),
                    labels=np.array([0] * 775 + [1] * 225))
     retained = retain_by_class(pool, blsd_stats, (np.arange(1000) % 97) / 100.0)
@@ -188,8 +191,8 @@ def test_c04_filtering_invariants_and_blsd_retention():
                                      noise_rate=0.1, seed=42)
     from imbenhance.synthesis import build_techniques
     spec = ClassifierSpec(kind="decision-tree", max_depth=6)
-    syn = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0), spec,
-                          SplitSpec(seed=42))
+    train, val = stratified_split(d, SplitSpec(seed=42))
+    syn = meta_synthesize(train, build_techniques(["random-oversample"], 5, 1.0), spec, val, 42)
     stats = class_stats(d)
     out = filter_sweep(syn.augmented, syn.misclassified, syn.model, spec,
                        thresholds=DEFAULT_THRESHOLD_GRID, original_stats=stats)

@@ -592,6 +592,15 @@ def test_benchmark_cli(small_csv, tmp_path, capsys):
     assert "recall" in printed
 
 
+def test_benchmark_refuses_more_folds_than_a_float_can_hold(small_csv, tmp_path, capsys):
+    out = tmp_path / "bench"
+    k = "5000000000000000000000"
+    assert run_cli("benchmark", str(small_csv), "--folds", k, "--out", str(out)) == 1
+    assert re.fullmatch(rf"error: class 0 has \d+ rows, fewer than k={k}\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ metrics
 
 def test_metrics_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,7 +300,6 @@ def test_class_stats_balanced():
     d = make_labeled([[0.0]] * 100, [0] * 50 + [1] * 50)
     s = class_stats(d)
     assert s.priors == (0.5, 0.5)
-    assert s.imbalance_ratio == 1.0
     assert s.minority_label == 1  # tie goes to the larger label
 
 
@@ -307,7 +307,7 @@ def test_class_stats_zcd_shape():
     n, pos = 10_000, 1683
     d = make_labeled([[0.0]] * n, [1] * pos + [0] * (n - pos))
     s = class_stats(d)
-    assert f"1:{s.imbalance_ratio:.2f}" == "1:4.94"
+    assert s.counts == (n - pos, pos)
     assert abs(s.priors[s.labels.index(1)] - 0.1683) < 1e-12
 
 
@@ -316,7 +316,7 @@ def test_class_stats_blsd_shape():
     pos = 2252
     d = make_labeled([[0.0]] * n, [1] * pos + [0] * (n - pos))
     s = class_stats(d)
-    assert f"1:{s.imbalance_ratio:.2f}" == "1:3.44"
+    assert s.counts == (n - pos, pos)
 
 
 def test_class_stats_requires_labels():
@@ -384,6 +384,18 @@ def test_kfold_class_too_small():
     d = make_labeled(np.zeros((9, 1)), y)
     with pytest.raises(ValueError, match="fewer than k"):
         stratified_split(d, SplitSpec(mode="k-fold", k=3))
+
+
+def test_kfold_refuses_a_huge_k_before_building_its_folds():
+    d = generate_synthetic_benchmark(n=200, d=2, imbalance_ratio=4, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^class 0 has \d+ rows, fewer than k=10000000$"):
+            stratified_split(d, SplitSpec(mode="k-fold", k=10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_split_parts_reunite_to_original_multiset():

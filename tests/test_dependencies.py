@@ -1,10 +1,10 @@
 """The package's imports: third-party ones match pyproject.toml's dependency
 list, CSV text is handled in one module, integer and real types are checked
 in one module and no interval check is written by hand, F1 is scored in one
-module, only the stages pick a winner, the technique classes and the model
-classes are each named in one module, each module imports only lower layers,
-no module reaches into another's private names, and bad input raises nothing
-but ValueError."""
+module, only the stages pick a winner, only the pipeline draws a split, the
+technique classes and the model classes are each named in one module, each
+module imports only lower layers, no module reaches into another's private
+names, and bad input raises nothing but ValueError."""
 
 import ast
 import re
@@ -101,6 +101,14 @@ def test_only_the_stages_pick_by_first_best():
     """Each stage decides its own winner; a report reads the decision, it does not redo it."""
     assert {path.name for path in PACKAGE.glob("*.py") if "first_best" in referenced_names(path)} \
         == {"metrics.py", "synthesis.py", "filtering.py", "selflearn.py"}
+
+
+def test_only_data_and_pipeline_draw_splits():
+    """The pipeline draws every holdout and fold and hands the stages their parts."""
+    assert {path.name for path in PACKAGE.glob("*.py")
+            if path.name != "__init__.py"
+            and {"stratified_split", "SplitSpec"} & referenced_names(path)} \
+        == {"data.py", "pipeline.py"}
 
 
 def test_only_synthesis_names_the_technique_classes():

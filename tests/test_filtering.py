@@ -9,6 +9,7 @@ from imbenhance.data import (
     class_stats,
     generate_synthetic_benchmark,
     largest_remainder,
+    stratified_split,
 )
 from imbenhance.filtering import (
     DEFAULT_THRESHOLD_GRID,
@@ -220,9 +221,9 @@ def test_sweep_refits_only_distinct_candidates(monkeypatch):
 
 def real_pipeline_pieces(seed=42):
     d = generate_synthetic_benchmark(n=500, d=3, imbalance_ratio=8, noise_rate=0.1, seed=seed)
-    out = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0),
-                          ClassifierSpec(kind="decision-tree", max_depth=6),
-                          SplitSpec(ratio=0.8, seed=seed))
+    train, val = stratified_split(d, SplitSpec(ratio=0.8, seed=seed))
+    out = meta_synthesize(train, build_techniques(["random-oversample"], 5, 1.0),
+                          ClassifierSpec(kind="decision-tree", max_depth=6), val, seed)
     return d, out
 
 

@@ -60,9 +60,9 @@ def test_disable_filtering_and_selflearning_equals_meta_synthesize():
     d = bench_data(seed=3)
     cfg = quick_cfg(disable_filtering=True, disable_selflearning=True)
     result = run_pipeline(d, None, cfg)
-    direct = meta_synthesize(
-        d, cfg.build_techniques(), cfg.classifier,
-        SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+    train, val = stratified_split(d, SplitSpec(
+        mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+    direct = meta_synthesize(train, cfg.build_techniques(), cfg.classifier, val, cfg.seed)
     assert result.enhanced.equals(direct.augmented)
 
 
@@ -70,12 +70,25 @@ def test_disable_selflearning_equals_synthesis_plus_filtering():
     d = bench_data(seed=4)
     cfg = quick_cfg(disable_selflearning=True)
     result = run_pipeline(d, None, cfg)
-    syn = meta_synthesize(
-        d, cfg.build_techniques(), cfg.classifier,
-        SplitSpec(mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+    train, val = stratified_split(d, SplitSpec(
+        mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+    syn = meta_synthesize(train, cfg.build_techniques(), cfg.classifier, val, cfg.seed)
     filt = filter_sweep(syn.augmented, syn.misclassified, syn.model, cfg.classifier,
                         thresholds=cfg.threshold_grid, original_stats=class_stats(d),
                         retention=True)
+    assert result.enhanced.equals(filt.filtered)
+
+
+def test_disable_synthesis_filters_against_the_synthesis_holdout():
+    d = bench_data(seed=5)
+    cfg = quick_cfg(disable_synthesis=True, disable_selflearning=True)
+    result = run_pipeline(d, None, cfg)
+    train, val = stratified_split(d, SplitSpec(
+        mode="holdout", ratio=cfg.synthesis_split_ratio, seed=cfg.seed))
+    model = fit(cfg.classifier, train)
+    mis = synthesis.split_by_error(model, val)[1]
+    filt = filter_sweep(d, mis, model, cfg.classifier, thresholds=cfg.threshold_grid,
+                        original_stats=class_stats(d), retention=True)
     assert result.enhanced.equals(filt.filtered)
 
 
@@ -338,7 +351,7 @@ def test_benchmark_test_fold_isolation():
 def test_benchmark_fold_sizes_cover_input():
     d = bench_data(n=500, seed=14)
     bench = benchmark(d, quick_cfg(disable_selflearning=True))
-    assert sum(bench.fold_sizes) == 500
+    assert sum(r.counts.total for r in bench.baseline) == 500
     assert len(bench.baseline) == 3
 
 
@@ -517,6 +530,7 @@ def test_config_takes_a_numpy_integer_seed():
 
 
 _COUNT_DATA = generate_synthetic_benchmark(200, 2, 4.0, seed=1)
+_RACE_TRAIN, _RACE_VAL = stratified_split(_COUNT_DATA, SplitSpec(seed=1))
 
 # (boundary, build it with the count set to v, count name, minimum): every count
 # and seed is checked by data.check_count
@@ -539,6 +553,9 @@ COUNT_BOUNDARIES = [
     ("generate", lambda v: generate_synthetic_benchmark(200, 2, 4.0, seed=v), "seed", 0),
     ("smote", lambda v: synthesis.smote(_COUNT_DATA, seed=v), "seed", 0),
     ("random_oversample", lambda v: synthesis.random_oversample(_COUNT_DATA, seed=v), "seed", 0),
+    ("meta_synthesize", lambda v: synthesis.meta_synthesize(
+        _RACE_TRAIN, synthesis.build_techniques(["random-oversample"], 5, 1.0),
+        ClassifierSpec(max_depth=2), _RACE_VAL, v), "seed", 0),
 ]
 
 

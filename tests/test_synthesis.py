@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from imbenhance import synthesis
 from imbenhance.classifiers import ClassifierSpec, TrainedModel
-from imbenhance.data import Dataset, SplitSpec, class_stats, concat_datasets, generate_synthetic_benchmark
+from imbenhance.data import (
+    Dataset,
+    SplitSpec,
+    class_stats,
+    concat_datasets,
+    generate_synthetic_benchmark,
+    stratified_split,
+)
 from imbenhance.synthesis import (
     Technique,
     build_techniques,
@@ -274,6 +281,12 @@ def fit_by_marker(monkeypatch, marker_to_model):
     monkeypatch.setattr(synthesis, "fit", marker_fit)
 
 
+def race(d, techniques, classifier_spec, seed):
+    """``meta_synthesize`` on the 80/20 stratified holdout of ``d`` drawn with ``seed``."""
+    train, val = stratified_split(d, SplitSpec(ratio=0.8, seed=seed))
+    return meta_synthesize(train, techniques, classifier_spec, val, seed)
+
+
 def small_dataset():
     X = np.arange(20, dtype=float).reshape(10, 2)
     y = np.array([0, 1] * 5)
@@ -285,7 +298,7 @@ def test_meta_synthesize_picks_argmax_winner(monkeypatch):
     # technique "bad" -> all-zeros model -> F1 0; "good" -> all-ones -> F1 > 0
     techniques = [MarkerTechnique("bad", 111.0), MarkerTechnique("good", 222.0)]
     fit_by_marker(monkeypatch, {111.0: AllZerosModel, 222.0: AllOnesModel})
-    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
+    out = race(d, techniques, ClassifierSpec(), 1)
     assert out.chosen_technique == "good"
     scores = dict(out.f1_scores)
     assert scores["good"] > scores["bad"]
@@ -295,13 +308,13 @@ def test_meta_synthesize_tie_goes_to_list_order(monkeypatch):
     d = small_dataset()
     techniques = [MarkerTechnique("first", 111.0), MarkerTechnique("second", 222.0)]
     fit_by_marker(monkeypatch, {111.0: AllOnesModel, 222.0: AllOnesModel})
-    out = meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
+    out = race(d, techniques, ClassifierSpec(), 1)
     assert out.chosen_technique == "first"
 
 
 def test_meta_synthesize_empty_technique_list():
     with pytest.raises(ValueError, match="empty"):
-        meta_synthesize(small_dataset(), [], ClassifierSpec(), SplitSpec())
+        race(small_dataset(), [], ClassifierSpec(), 42)
 
 
 def test_meta_synthesize_refuses_two_entries_of_one_name():
@@ -310,19 +323,16 @@ def test_meta_synthesize_refuses_two_entries_of_one_name():
                   Technique("y", mock.Mock(wraps=smote)),
                   Technique("x", mock.Mock(wraps=smote))]
     with pytest.raises(ValueError, match="^techniques: two entries are named 'x'$"):
-        meta_synthesize(d, techniques, ClassifierSpec(), SplitSpec())
+        race(d, techniques, ClassifierSpec(), 42)
     assert all(t.generate.call_count == 0 for t in techniques)
 
 
 def test_meta_synthesize_bookkeeping_on_benchmark():
-    from imbenhance.data import stratified_split
-
     d = generate_synthetic_benchmark(n=600, d=3, imbalance_ratio=20, noise_rate=0.05, seed=42)
-    split = SplitSpec(ratio=0.8, seed=42)
+    train_ds, val_ds = stratified_split(d, SplitSpec(ratio=0.8, seed=42))
     techniques = build_techniques(["random-oversample", "smote"], 5, 1.0)
-    out = meta_synthesize(d, techniques, ClassifierSpec(kind="decision-tree"), split)
+    out = meta_synthesize(train_ds, techniques, ClassifierSpec(kind="decision-tree"), val_ds, 42)
 
-    train_ds, val_ds = stratified_split(d, split)
     train, val = train_ds.n_rows, val_ds.n_rows
     n_syn = int(np.sum(out.augmented.provenance == "synthetic"))
     n_merged = int(np.sum(out.augmented.provenance == "validation-merged"))
@@ -341,8 +351,7 @@ def test_meta_synthesize_bookkeeping_on_benchmark():
 
 def test_meta_synthesize_parity_before_merge():
     d = generate_synthetic_benchmark(n=400, d=3, imbalance_ratio=10, seed=1)
-    out = meta_synthesize(d, build_techniques(["random-oversample"], 5, 1.0),
-                          ClassifierSpec(), SplitSpec(ratio=0.8, seed=1))
+    out = race(d, build_techniques(["random-oversample"], 5, 1.0), ClassifierSpec(), 1)
     pre_merge = out.augmented.take(
         np.flatnonzero(out.augmented.provenance != "validation-merged"))
     s = class_stats(pre_merge)
@@ -351,26 +360,23 @@ def test_meta_synthesize_parity_before_merge():
 
 def test_meta_synthesize_provenance_sets():
     d = generate_synthetic_benchmark(n=300, d=2, imbalance_ratio=5, seed=2)
-    out = meta_synthesize(d, build_techniques(["smote"], 5, 1.0), ClassifierSpec(),
-                          SplitSpec(seed=2))
+    out = race(d, build_techniques(["smote"], 5, 1.0), ClassifierSpec(), 2)
     assert set(out.augmented.provenance) <= {"original", "synthetic", "validation-merged"}
     assert set(out.misclassified.provenance) <= {"original"}
 
 
 def test_meta_synthesize_chosen_f1_is_max():
     d = generate_synthetic_benchmark(n=400, d=3, imbalance_ratio=8, noise_rate=0.1, seed=3)
-    out = meta_synthesize(d, build_techniques(["random-oversample", "smote"], 5, 1.0),
-                          ClassifierSpec(), SplitSpec(seed=3))
+    out = race(d, build_techniques(["random-oversample", "smote"], 5, 1.0), ClassifierSpec(), 3)
     chosen = dict(out.f1_scores)[out.chosen_technique]
     assert all(chosen >= f1 for _, f1 in out.f1_scores)
 
 
 def test_meta_synthesize_deterministic():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=4)
-    args = (build_techniques(["random-oversample", "smote"], 5, 1.0), ClassifierSpec(),
-            SplitSpec(seed=4))
-    a = meta_synthesize(d, *args)
-    b = meta_synthesize(d, *args)
+    args = (build_techniques(["random-oversample", "smote"], 5, 1.0), ClassifierSpec(), 4)
+    a = race(d, *args)
+    b = race(d, *args)
     assert a.chosen_technique == b.chosen_technique
     assert a.augmented.equals(b.augmented)
     assert a.misclassified.equals(b.misclassified)
@@ -378,12 +384,10 @@ def test_meta_synthesize_deterministic():
 
 def test_single_technique_equals_direct_augmentation():
     d = generate_synthetic_benchmark(n=300, d=3, imbalance_ratio=6, seed=5)
-    split = SplitSpec(ratio=0.8, seed=5)
+    train, val = stratified_split(d, SplitSpec(ratio=0.8, seed=5))
     (tech,) = build_techniques(["smote"], 5, 1.0)
-    out = meta_synthesize(d, [tech], ClassifierSpec(), split)
-    from imbenhance.data import stratified_split
-    train, _ = stratified_split(d, split)
-    syn = tech.generate(train, seed=split.seed + 0)
+    out = meta_synthesize(train, [tech], ClassifierSpec(), val, 5)
+    syn = tech.generate(train, seed=5 + 0)
     direct = concat_datasets([train, syn])
     keep = out.augmented.take(np.flatnonzero(out.augmented.provenance != "validation-merged"))
     assert keep.equals(direct)
@@ -395,7 +399,7 @@ def test_meta_synthesize_generates_each_entry_once():
                   for name, t in zip(["random-oversample", "smote", "smote-again"],
                                      build_techniques(["random-oversample", "smote"], 5, 1.0)
                                      + build_techniques(["smote"], 5, 1.0))]
-    meta_synthesize(d, techniques, ClassifierSpec(max_depth=3), SplitSpec(seed=6))
+    race(d, techniques, ClassifierSpec(max_depth=3), 6)
     assert [t.generate.call_count for t in techniques] == [1, 1, 1]
     assert [t.generate.call_args.kwargs["seed"] for t in techniques] == [6, 7, 8]
 
